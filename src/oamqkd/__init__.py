@@ -42,9 +42,7 @@ from .exceptions import (
     DimensionMismatch,
     GridTooCoarse,
     IndexOutOfRange,
-    ParseError,
     UnsupportedDimension,
-    ValidationError,
     WrongFrame,
 )
 from .modes import (

@@ -9,7 +9,7 @@ seed; the only non-reproducible output is the explicitly labeled
 
 Config keys (all optional, one-to-one with the flags):
 
-    d                 4       logical dimension (power of 2)
+    d                 4       logical dimension (2, 4, 8, ...)
     photons           1000    rounds per session
     seed              0       master PRNG seed (non-negative int)
     mubs              2       number of bases used by Alice and Bob
@@ -29,6 +29,11 @@ Config keys (all optional, one-to-one with the flags):
     dump_modes        []      entries [family, n, m, z] for mode_*.csv dumps
     dump_samples      128     samples per axis for mode dumps
 
+Each key is a flag spelled with dashes (--test-fraction 0.2); true/false
+keys also take --no-KEY.  --channel repeats, and repeated flags replace the
+file's channel list.  Each dump_modes entry is a --dump-mode FAMILY,N,M flag
+whose plane z is set by the --z flag of the same position (default 0).
+
 Channel element grammar (used in config lists and repeated --channel flags):
 
     rotation:PHI | random_rotation | time_rotation:OMEGA | gouy:Z |
@@ -42,7 +47,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +65,7 @@ from .channel import (
     TimeVaryingRotation,
 )
 from .devices import DeviceConfig
-from .exceptions import ConfigInvalid, ParseError, ValidationError
+from .exceptions import ConfigInvalid
 from .modes import BeamGeometry, ModeFamily, ModeLabel, mode_field, reference_grid
 from .protocol import SessionConfig, SessionStats, run_session
 from .states import build_mub_family
@@ -68,32 +74,14 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 SCHEMA_VERSION = 1
 
-_DEFAULTS: dict[str, object] = {
-    "d": 4,
-    "photons": 1000,
-    "seed": 0,
-    "mubs": 2,
-    "oam": 0,
-    "channel": [],
-    "eve": None,
-    "test_fraction": 0.1,
-    "threshold": 0.11,
-    "emission_rate": 1e6,
-    "compensate_gouy": False,
-    "propagation_z": 0.0,
-    "detuning_epsilon": 0.0,
-    "wavenumber": 2.0 * math.pi / 1.55e-6,
-    "rayleigh_range": 1.0,
-    "out": ".",
-    "transcript": False,
-    "dump_modes": [],
-    "dump_samples": 128,
-}
-
 
 @dataclass
 class RunConfig:
-    """Fully-resolved run description: session parameters plus outputs."""
+    """Fully-resolved run description: session parameters plus outputs.
+
+    The fields are the config keys of the module docstring; the flags, the
+    accepted file keys, and ``serialize()`` are all derived from them.
+    """
 
     d: int = 4
     photons: int = 1000
@@ -127,42 +115,32 @@ class RunConfig:
 
     def serialize(self) -> dict:
         """Canonical JSON-compatible form; parse(serialize(.)) round-trips."""
-        return {
-            "d": self.d,
-            "photons": self.photons,
-            "seed": self.seed,
-            "mubs": self.mubs,
-            "oam": self.oam,
-            "channel": self.channel_specs(),
-            "eve": None,
-            "test_fraction": self.test_fraction,
-            "threshold": self.threshold,
-            "emission_rate": self.emission_rate,
-            "compensate_gouy": self.compensate_gouy,
-            "propagation_z": self.propagation_z,
-            "detuning_epsilon": self.detuning_epsilon,
-            "wavenumber": self.wavenumber,
-            "rayleigh_range": self.rayleigh_range,
-            "out": self.out,
-            "transcript": self.transcript,
-            "dump_modes": [
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            channel=self.channel_specs(),
+            eve=None,
+            dump_modes=[
                 [label.family.value, label.n, label.m, z] for label, z in self.dump_modes
             ],
-            "dump_samples": self.dump_samples,
-        }
+        )
+        return data
 
     def to_session_config(self) -> SessionConfig:
-        geom = self.geometry()
+        """The session this run executes; building it validates the config.
+
+        Raises ConfigInvalid naming the first violated invariant.  Only
+        dump_samples is checked here: every other field is the session's.
+        """
+        if self.dump_samples < 2:
+            raise ConfigInvalid(f"dump_samples must be >= 2, got {self.dump_samples}")
         device = DeviceConfig(
             d=self.d,
-            geom=geom,
+            geom=self.geometry(),
             compensate_gouy=self.compensate_gouy,
             propagation_z=self.propagation_z,
             detuning_epsilon=self.detuning_epsilon,
         )
-        elements = [
-            _build_element(spec, self) for spec in self.channel_specs()
-        ]
+        elements = [_build_element(spec, self) for spec in self.channel_specs()]
         return SessionConfig(
             d=self.d,
             photons=self.photons,
@@ -177,22 +155,33 @@ class RunConfig:
         )
 
 
+# field name -> annotated type, which drives coercion and the flag set
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _finite(value) -> float:
+    """A finite float; booleans are rejected rather than read as 0 or 1."""
+    if isinstance(value, bool) or not math.isfinite(value := float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
 def _build_element(spec: str, cfg: RunConfig):
     """Instantiate one channel element from its descriptor string."""
     name, _, arg = spec.partition(":")
     try:
         if name == "rotation":
-            return Rotation(angle=float(arg))
+            return Rotation(angle=_finite(arg))
         if name == "random_rotation":
             return RandomRotation()
         if name == "time_rotation":
-            return TimeVaryingRotation(omega=float(arg))
+            return TimeVaryingRotation(omega=_finite(arg))
         if name == "gouy":
-            return Gouy(z=float(arg), geom=cfg.geometry())
+            return Gouy(z=_finite(arg), geom=cfg.geometry())
         if name == "loss":
-            return Loss(probability=float(arg))
+            return Loss(probability=_finite(arg))
         if name == "freq_shift":
-            return FrequencyShift(omega=float(arg))
+            return FrequencyShift(omega=_finite(arg))
         if name == "eve":
             mub = build_mub_family(cfg.d, cfg.mubs)
             if arg == "random":
@@ -202,14 +191,15 @@ def _build_element(spec: str, cfg: RunConfig):
                 return Eve(EveStrategy(mub=mub, fixed_basis=int(idx)))
             raise ValueError(f"eve mode must be 'random' or 'fixed:IDX', got {arg!r}")
     except (TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"bad channel element {spec!r}: {exc}") from exc
-    raise ValidationError(
+        raise ConfigInvalid(f"bad channel element {spec!r}: {exc}") from exc
+    raise ConfigInvalid(
         f"unknown channel element {name!r} in {spec!r}; expected one of "
         "rotation, random_rotation, time_rotation, gouy, loss, freq_shift, eve"
     )
 
 
-def _parse_dump_entry(entry) -> tuple[ModeLabel, float]:
+def _parse_dump_entry(entry, z=None) -> tuple[ModeLabel, float]:
+    """One dump_modes entry; ``z``, when given, replaces the entry's plane."""
     if isinstance(entry, str):
         parts = entry.split(",")
         if len(parts) == 3:
@@ -217,19 +207,19 @@ def _parse_dump_entry(entry) -> tuple[ModeLabel, float]:
     else:
         parts = list(entry)
     if len(parts) != 4:
-        raise ParseError(f"dump_modes entry {entry!r} must be [family, n, m, z]")
-    family_name, n, m, z = parts
+        raise ConfigInvalid(f"dump_modes entry {entry!r} must be [family, n, m, z]")
+    family_name, n, m, entry_z = parts
     try:
         family = ModeFamily(str(family_name).upper())
         label = ModeLabel(family, int(n), int(m))
-        return label, float(z)
+        return label, _finite(entry_z if z is None else z)
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"dump_modes entry {entry!r}: {exc}") from exc
+        raise ConfigInvalid(f"dump_modes entry {entry!r}: {exc}") from exc
 
 
 def _coerce(key: str, value):
-    """Coerce a raw config value to the type of its documented default."""
-    default = _DEFAULTS[key]
+    """Coerce a raw file or flag value to the type of its RunConfig field."""
+    kind = _FIELD_TYPES[key]
     try:
         if key == "eve":
             return None if value is None else str(value)
@@ -237,156 +227,86 @@ def _coerce(key: str, value):
             return [str(v) for v in value]
         if key == "dump_modes":
             return list(value)
-        if isinstance(default, bool):
+        if kind is bool:
             if isinstance(value, bool):
                 return value
             raise ValueError(f"expected true/false, got {value!r}")
-        if isinstance(default, int):
+        if kind is int:
             if isinstance(value, bool) or int(value) != value:
                 raise ValueError(f"expected an integer, got {value!r}")
             return int(value)
-        if isinstance(default, float):
-            return float(value)
+        if kind is float:
+            return _finite(value)
         return str(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"config field {key!r}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"config field {key!r}: {exc}") from exc
 
 
 def _load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ParseError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise ConfigInvalid(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(data) - set(_DEFAULTS))
+        raise ConfigInvalid(f"{path}: top level must be a JSON object")
+    unknown = sorted(set(data) - set(_FIELD_TYPES))
     if unknown:
-        raise ParseError(f"{path}: unknown config fields: {', '.join(unknown)}")
+        raise ConfigInvalid(f"{path}: unknown config fields: {', '.join(unknown)}")
     return data
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
-    if cfg.d < 2 or (cfg.d & (cfg.d - 1)) != 0:
-        raise ValidationError(
-            f"d must be a power of 2 for the sorter-cascade device model, got {cfg.d}"
-        )
-    if cfg.photons < 1:
-        raise ValidationError(f"photons must be >= 1, got {cfg.photons}")
-    if cfg.seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {cfg.seed}")
-    if not 2 <= cfg.mubs <= cfg.d + 1:
-        raise ValidationError(f"mubs must be in 2..d+1 = 2..{cfg.d + 1}, got {cfg.mubs}")
-    if cfg.oam < 0:
-        raise ValidationError(f"oam must be >= 0, got {cfg.oam}")
-    if not 0.0 < cfg.test_fraction < 1.0:
-        raise ValidationError(
-            f"test_fraction must lie strictly between 0 and 1, got {cfg.test_fraction}"
-        )
-    if not 0.0 <= cfg.threshold <= 1.0:
-        raise ValidationError(f"threshold must be in [0, 1], got {cfg.threshold}")
-    if cfg.emission_rate <= 0:
-        raise ValidationError(f"emission_rate must be > 0, got {cfg.emission_rate}")
-    if cfg.wavenumber <= 0:
-        raise ValidationError(f"wavenumber must be > 0, got {cfg.wavenumber}")
-    if cfg.rayleigh_range <= 0:
-        raise ValidationError(f"rayleigh_range must be > 0, got {cfg.rayleigh_range}")
-    if cfg.detuning_epsilon < 0:
-        raise ValidationError(f"detuning_epsilon must be >= 0, got {cfg.detuning_epsilon}")
-    if cfg.dump_samples < 2:
-        raise ValidationError(f"dump_samples must be >= 2, got {cfg.dump_samples}")
-    if cfg.eve is not None:
-        mode, _, idx = cfg.eve.partition(":")
-        if mode not in ("random", "fixed") or (mode == "fixed" and not idx.isdigit()):
-            raise ValidationError(f"eve must be 'random' or 'fixed:IDX', got {cfg.eve!r}")
-    for spec in cfg.channel_specs():
-        _build_element(spec, cfg)
-    return cfg
-
-
 def _build_arg_parser() -> argparse.ArgumentParser:
+    """One flag per RunConfig field; --help prints the module docstring."""
     parser = argparse.ArgumentParser(
         prog="oamqkd",
-        description="Simulate one spatial-mode BB84 session and write stats/transcripts.",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags override it")
-    parser.add_argument("--d", type=int, help="logical dimension (power of 2)")
-    parser.add_argument("--photons", type=int, help="rounds per session")
-    parser.add_argument("--seed", type=int, help="master PRNG seed")
-    parser.add_argument("--mubs", type=int, help="number of bases (2..d+1)")
-    parser.add_argument("--oam", type=int, help="OAM sector l of the encoding")
-    parser.add_argument(
-        "--channel",
-        action="append",
-        metavar="SPEC",
-        help="channel element (repeatable), e.g. rotation:0.7 or loss:0.1",
-    )
-    parser.add_argument("--eve", metavar="MODE", help="eavesdropper: random or fixed:IDX")
-    parser.add_argument("--test-fraction", type=float, dest="test_fraction")
-    parser.add_argument("--threshold", type=float, help="QBER abort threshold")
-    parser.add_argument("--emission-rate", type=float, dest="emission_rate")
-    parser.add_argument(
-        "--compensate-gouy", action=argparse.BooleanOptionalAction, dest="compensate_gouy"
-    )
-    parser.add_argument("--propagation-z", type=float, dest="propagation_z")
-    parser.add_argument("--detuning-epsilon", type=float, dest="detuning_epsilon")
-    parser.add_argument("--wavenumber", type=float)
-    parser.add_argument("--rayleigh-range", type=float, dest="rayleigh_range")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--transcript", action=argparse.BooleanOptionalAction)
-    parser.add_argument(
-        "--dump-mode",
-        action="append",
-        dest="dump_modes",
-        metavar="FAMILY,N,M",
-        help="mode profile to dump as CSV (repeatable); pair with --z",
-    )
-    parser.add_argument(
-        "--z",
-        action="append",
-        type=float,
-        dest="dump_z",
-        help="plane for the matching --dump-mode (default 0)",
-    )
-    parser.add_argument("--dump-samples", type=int, dest="dump_samples")
+    for key, kind in _FIELD_TYPES.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "dump_modes":
+            parser.add_argument("--dump-mode", action="append", dest=key, metavar="FAMILY,N,M")
+            parser.add_argument("--z", action="append", type=float, dest="dump_z", metavar="Z")
+        elif key == "channel":
+            parser.add_argument(flag, action="append", metavar="SPEC")
+        elif kind is bool:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            parser.add_argument(flag, type=kind if kind in (int, float) else str)
     return parser
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
-    """Resolve flags and optional config file into a validated RunConfig."""
+    """Resolve flags and optional config file into a validated RunConfig.
+
+    Validation is the construction of the session config, so every failure,
+    parsing included, raises ConfigInvalid.
+    """
     args = _build_arg_parser().parse_args(argv)
 
-    merged = dict(_DEFAULTS)
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            merged[key] = _coerce(key, value)
-    for key in _DEFAULTS:
-        if key == "dump_modes":
-            continue
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            # repeated --channel flags replace the file's channel list entirely
-            merged[key] = _coerce(key, flag_value)
+    values = _load_config_file(args.config) if args.config else {}
+    for key in _FIELD_TYPES:
+        flag_value = getattr(args, key)
+        if flag_value is not None and key != "dump_modes":
+            values[key] = flag_value
+    values = {key: _coerce(key, value) for key, value in values.items()}
 
-    dump_entries = [_parse_dump_entry(e) for e in merged["dump_modes"]]
+    dump_modes = [_parse_dump_entry(e) for e in values.pop("dump_modes", [])]
     if args.dump_modes:
         zs = args.dump_z or []
-        flag_entries = []
-        for idx, spec in enumerate(args.dump_modes):
-            label, z = _parse_dump_entry(spec)
-            if idx < len(zs):
-                z = zs[idx]
-            flag_entries.append((label, z))
-        dump_entries = flag_entries
+        dump_modes = [
+            _parse_dump_entry(spec, zs[idx] if idx < len(zs) else None)
+            for idx, spec in enumerate(args.dump_modes)
+        ]
 
-    cfg = RunConfig(
-        **{k: v for k, v in merged.items() if k != "dump_modes"},
-        dump_modes=dump_entries,
-    )
-    return _validate(cfg)
+    cfg = RunConfig(**values, dump_modes=dump_modes)
+    cfg.to_session_config()
+    return cfg
 
 
 def _stats_payload(cfg: RunConfig, stats: SessionStats) -> dict:
@@ -460,8 +380,10 @@ def run(cfg: RunConfig) -> int:
     """Execute a run: session, stats.json, optional transcript and dumps.
 
     Returns the process exit status: 0 for a completed session (aborted
-    sessions included), nonzero for config or IO failures.
+    sessions included), 1 for IO failures.  An invalid config raises
+    ConfigInvalid before anything is written.
     """
+    session_cfg = cfg.to_session_config()
     out_dir = Path(cfg.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -469,7 +391,6 @@ def run(cfg: RunConfig) -> int:
         print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return 1
 
-    session_cfg = cfg.to_session_config()
     stats, records = run_session(session_cfg)
 
     try:
@@ -493,12 +414,7 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_config(argv)
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
+        return run(parse_config(argv))
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, IndexOutOfRange, WrongFrame
+from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, WrongFrame
 from .modes import BeamGeometry, beam_params, default_geometry
 from .states import Frame, PureState, fourier_unitary, make_b1_state, sample_index
 
@@ -36,7 +36,6 @@ __all__ = [
     "modal_convert",
     "sorter_cascade",
     "sorter_leaf_modes",
-    "modan_erase",
     "b1_probabilities",
     "b2_probabilities",
     "measure_b1",
@@ -70,15 +69,13 @@ class DeviceConfig:
 
     def __post_init__(self) -> None:
         if self.d < 2 or (self.d & (self.d - 1)) != 0:
-            raise ValueError(f"sorter-backed devices need d = 2^s with s >= 1, got d={self.d}")
+            raise ConfigInvalid(
+                f"d must be a power of 2 for the sorter-cascade device model, got {self.d}"
+            )
         if self.detuning_epsilon < 0:
-            raise ValueError(f"detuning_epsilon must be >= 0, got {self.detuning_epsilon}")
+            raise ConfigInvalid(f"detuning_epsilon must be >= 0, got {self.detuning_epsilon}")
         if self.geom is None:
             object.__setattr__(self, "geom", default_geometry())
-
-    @property
-    def num_stages(self) -> int:
-        return self.d.bit_length() - 1
 
     def path_phases(self) -> np.ndarray:
         """Combined compensation + detuning phase applied to path n.
@@ -188,25 +185,14 @@ def measure_b1(state: PureState, cfg: DeviceConfig, rng: np.random.Generator) ->
     return int(leaf_modes[sample_index(leaf_probs, rng)])
 
 
-def modan_erase(path_amplitudes: np.ndarray, path_mode_labels) -> np.ndarray:
-    """Quantum-erasure step: keep path amplitudes, drop which-mode labels.
-
-    Every path's photon is converted to the fundamental mode, so downstream
-    statistics may depend on ``path_amplitudes`` only; ``path_mode_labels``
-    is accepted purely so tests can verify it has no influence.
-    """
-    del path_mode_labels
-    return path_amplitudes
-
-
 def b2_probabilities(state: PureState, cfg: DeviceConfig) -> np.ndarray:
     """Outcome distribution of the sorter + MODAN + inverse-Fourier chain."""
     _check_measurable(state, cfg)
     # (i) coherent sort: logical component n exits the cascade on path n,
     # still in its ladder mode (order 2n + l identifies the mode per path).
+    # (ii) the MODAN on each path erases the mode label and keeps the path
+    # amplitude, so only the logical amplitudes reach the interferometer.
     path_amps = state.amplitudes
-    # (ii) MODAN per path erases the mode label.
-    path_amps = modan_erase(path_amps, state.physical_orders())
     # (iii)+(iv) per-path compensation / detuning phases.
     factors = cfg._path_phase_factors
     if factors is not None:

@@ -27,12 +27,8 @@ class WrongFrame(ValueError):
 
 
 class ConfigInvalid(ValueError):
-    """Session configuration violates an invariant."""
+    """Configuration cannot be parsed or violates an invariant.
 
-
-class ParseError(ValueError):
-    """Config file or flag could not be parsed."""
-
-
-class ValidationError(ValueError):
-    """Parsed config value violates an invariant."""
+    Raised for config files, flags, and the session, device, and beam
+    dataclasses alike; the command line exits with status 2 on it.
+    """

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import GridTooCoarse
+from .exceptions import ConfigInvalid, GridTooCoarse
 
 __all__ = [
     "ModeFamily",
@@ -89,9 +89,9 @@ class BeamGeometry:
 
     def __post_init__(self) -> None:
         if self.wavenumber <= 0:
-            raise ValueError(f"wavenumber must be > 0, got {self.wavenumber}")
+            raise ConfigInvalid(f"wavenumber must be > 0, got {self.wavenumber}")
         if self.rayleigh_range <= 0:
-            raise ValueError(f"rayleigh_range must be > 0, got {self.rayleigh_range}")
+            raise ConfigInvalid(f"rayleigh_range must be > 0, got {self.rayleigh_range}")
 
 
 def default_geometry() -> BeamGeometry:

@@ -5,7 +5,8 @@ the device models, runs it through the modal converter, the channel acts in
 flight, Bob converts back and measures in his own random basis.  Public
 sifting keeps matching-basis delivered rounds, a Bernoulli subsample of the
 sifted rounds is sacrificed to estimate the symbol error rate, and the
-session aborts when that estimate exceeds the configured threshold.
+session aborts when that estimate exceeds the configured threshold or when
+no round was sacrificed, so that no estimate exists.
 
 Determinism: round i consumes only the PRNG substream seeded by
 (seed, 0, i) — in order: Alice basis, Alice symbol, channel draws, Bob
@@ -35,7 +36,7 @@ from .devices import (
     prepare_b2,
 )
 from .exceptions import ConfigInvalid
-from .states import Frame, MubFamily, PureState, born_measure, build_mub_family
+from .states import Frame, MubFamily, PureState, born_measure, build_mub_family, check_mub_family
 
 __all__ = [
     "RoundRecord",
@@ -98,17 +99,14 @@ class SessionConfig:
             raise ConfigInvalid(f"emission_rate must be > 0, got {self.emission_rate}")
         if self.oam_sector < 0:
             raise ConfigInvalid(f"oam_sector must be >= 0, got {self.oam_sector}")
-        try:
-            device = self.device if self.device is not None else DeviceConfig(d=self.d)
-            if device.d != self.d:
-                raise ValueError(f"device dimension {device.d} != session dimension {self.d}")
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from exc
+        device = self.device if self.device is not None else DeviceConfig(d=self.d)
+        if device.d != self.d:
+            raise ConfigInvalid(f"device dimension {device.d} != session dimension {self.d}")
         object.__setattr__(self, "device", device)
-        if not 2 <= self.num_mubs <= self.d + 1:
-            raise ConfigInvalid(
-                f"num_mubs must be in 2..d+1 = 2..{self.d + 1}, got {self.num_mubs}"
-            )
+        try:
+            check_mub_family(self.d, self.num_mubs)
+        except ValueError as exc:
+            raise ConfigInvalid(f"num_mubs = {self.num_mubs}: {exc}") from exc
 
 
 @dataclass
@@ -215,11 +213,7 @@ def _plugin_mutual_information(pairs: list[tuple[int, tuple[int, int]]]) -> floa
 
 def run_session(cfg: SessionConfig) -> tuple[SessionStats, list[RoundRecord]]:
     """Run one full BB84 session; deterministic for a fixed config."""
-    try:
-        mub = build_mub_family(cfg.d, cfg.num_mubs)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
-
+    mub = build_mub_family(cfg.d, cfg.num_mubs)
     flight = _prepared_flight_states(cfg, mub)
     device = cfg.device
     channel = cfg.channel
@@ -268,7 +262,8 @@ def run_session(cfg: SessionConfig) -> tuple[SessionStats, list[RoundRecord]]:
 
     delivered = sum(r.delivered for r in records)
     sifted_count = sum(r.sifted for r in records)
-    aborted = estimate.qber > cfg.qber_abort_threshold
+    # fail closed: with nothing sacrificed there is no error estimate to trust
+    aborted = estimate.low_statistics or estimate.qber > cfg.qber_abort_threshold
 
     if aborted:
         key_symbols: list[int] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "make_b1_state",
     "make_b2_state",
     "fourier_unitary",
+    "check_mub_family",
     "build_mub_family",
     "born_probabilities",
     "born_measure",
@@ -73,9 +74,6 @@ class PureState:
     @property
     def d(self) -> int:
         return self.amplitudes.size
-
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "PureState":
-        return replace(self, amplitudes=amplitudes)
 
     def with_frame(self, frame: Frame) -> "PureState":
         # the amplitude vector is untouched, so normalization needs no re-check
@@ -268,12 +266,11 @@ def _quadratic_phase_basis(d: int, b: int) -> Basis:
     return Basis(mat)
 
 
-def build_mub_family(d: int, num_bases: int) -> MubFamily:
-    """B1, B2, and (for prime d) further quadratic-phase bases, M <= d + 1.
+def check_mub_family(d: int, num_bases: int) -> None:
+    """Raise unless build_mub_family(d, num_bases) can construct the family.
 
     Two bases exist in any dimension; asking for more requires d prime,
-    otherwise UnsupportedDimension is raised.  The returned family has
-    passed the pairwise unbiasedness verifier.
+    otherwise UnsupportedDimension is raised.
     """
     if num_bases < 2:
         raise ValueError(f"num_bases must be >= 2, got {num_bases}")
@@ -283,6 +280,17 @@ def build_mub_family(d: int, num_bases: int) -> MubFamily:
         raise UnsupportedDimension(
             f"more than 2 mutually unbiased bases are only constructed for prime d, got d={d}"
         )
+
+
+@lru_cache(maxsize=None)
+def build_mub_family(d: int, num_bases: int) -> MubFamily:
+    """B1, B2, and (for prime d) further quadratic-phase bases, M <= d + 1.
+
+    Raises as check_mub_family does.  The returned family has passed the
+    pairwise unbiasedness verifier; families are immutable, so each
+    (d, num_bases) is built and verified once per process.
+    """
+    check_mub_family(d, num_bases)
     bases = [Basis(np.eye(d, dtype=complex))]
     bases.extend(_quadratic_phase_basis(d, b) for b in range(num_bases - 1))
     return MubFamily(tuple(bases))

@@ -1,11 +1,14 @@
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from oamqkd.channel import Eve, Gouy, Loss, Rotation
-from oamqkd.cli import main, parse_config
-from oamqkd.exceptions import ParseError, ValidationError
+from oamqkd import cli
+from oamqkd.cli import RunConfig, main, parse_config, run
+from oamqkd.exceptions import ConfigInvalid
 from oamqkd.modes import ModeFamily, ModeLabel, default_geometry, eval_mode, reference_grid
 
 
@@ -48,34 +51,50 @@ def test_flags_only():
 
 
 def test_non_power_of_two_dimension_rejected(tmp_path):
-    with pytest.raises(ValidationError, match="power of 2"):
+    with pytest.raises(ConfigInvalid, match="power of 2"):
         parse_config(["--config", write_config(tmp_path, {"d": 3})])
 
 
 def test_unknown_field_rejected(tmp_path):
-    with pytest.raises(ParseError, match="unknown config fields: bogus"):
+    with pytest.raises(ConfigInvalid, match="unknown config fields: bogus"):
         parse_config(["--config", write_config(tmp_path, {"bogus": 1})])
 
 
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"d": 4,,}')
-    with pytest.raises(ParseError, match=r":1:"):
+    with pytest.raises(ConfigInvalid, match=r":1:"):
         parse_config(["--config", str(path)])
 
 
 def test_missing_file_is_parse_error():
-    with pytest.raises(ParseError, match="cannot read"):
+    with pytest.raises(ConfigInvalid, match="cannot read"):
         parse_config(["--config", "/nonexistent/path.json"])
 
 
 def test_invariant_violations_named(tmp_path):
-    with pytest.raises(ValidationError, match="test_fraction"):
+    with pytest.raises(ConfigInvalid, match="test_fraction"):
         parse_config(["--config", write_config(tmp_path, {"test_fraction": 0.0})])
-    with pytest.raises(ValidationError, match="mubs"):
+    with pytest.raises(ConfigInvalid, match="mubs"):
         parse_config(["--d", "4", "--mubs", "6"])
-    with pytest.raises(ValidationError, match="photons"):
+    with pytest.raises(ConfigInvalid, match="photons"):
         parse_config(["--photons", "0"])
+    with pytest.raises(ConfigInvalid, match="emission_rate"):
+        parse_config(["--emission-rate", "nan"])
+    with pytest.raises(ConfigInvalid, match="wavenumber"):
+        parse_config(["--wavenumber", "inf"])
+    with pytest.raises(ConfigInvalid, match="emission_rate"):
+        parse_config(["--config", write_config(tmp_path, {"emission_rate": True})])
+
+
+def test_every_field_is_documented_and_has_a_flag(capsys):
+    with pytest.raises(SystemExit):
+        parse_config(["--help"])
+    help_text = capsys.readouterr().out
+    for name in [f.name for f in fields(RunConfig)]:
+        assert re.search(rf"^    {name} ", cli.__doc__, re.M), f"{name} missing from the key table"
+        flag = "--dump-mode" if name == "dump_modes" else "--" + name.replace("_", "-")
+        assert re.search(rf"{flag}\b", help_text), f"{flag} missing from --help"
 
 
 def test_channel_element_parsing():
@@ -98,11 +117,11 @@ def test_eve_flag_appends_element():
 
 
 def test_bad_channel_element_rejected():
-    with pytest.raises(ValidationError, match="unknown channel element"):
+    with pytest.raises(ConfigInvalid, match="unknown channel element"):
         parse_config(["--channel", "teleporter:1"])
-    with pytest.raises(ValidationError, match="bad channel element"):
+    with pytest.raises(ConfigInvalid, match="bad channel element"):
         parse_config(["--channel", "rotation:abc"])
-    with pytest.raises(ValidationError, match="eve"):
+    with pytest.raises(ConfigInvalid, match="eve"):
         parse_config(["--eve", "sometimes"])
 
 
@@ -165,6 +184,35 @@ def test_aborted_session_still_exits_zero(tmp_path):
 def test_config_error_exit_code(capsys):
     assert main(["--d", "3"]) == 2
     assert "power of 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--d", "3"],
+        ["--mubs", "6"],
+        ["--d", "4", "--mubs", "3"],
+        ["--eve", "fixed:7"],
+        ["--emission-rate", "nan"],
+        ["--wavenumber", "-1"],
+        ["--dump-samples", "1"],
+        ["--config", {"emission_rate": True}],
+    ],
+)
+def test_bad_config_writes_nothing(tmp_path, capsys, args):
+    if args[0] == "--config":
+        args = ["--config", write_config(tmp_path, args[1])]
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_run_validates_before_creating_output_dir(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigInvalid, match="prime"):
+        run(RunConfig(d=4, mubs=3, out=str(out)))
+    assert not out.exists()
 
 
 def test_transcript_contents(tmp_path):

@@ -14,7 +14,6 @@ from oamqkd.devices import (
     measure_b1,
     measure_b2,
     modal_convert,
-    modan_erase,
     prepare_b1,
     prepare_b2,
     sorter_cascade,
@@ -261,16 +260,6 @@ def test_knobs_are_noops_without_upstream_gouy():
         base = b2_probabilities(st, pristine)
         np.testing.assert_allclose(b2_probabilities(st, comp_at_waist), base, atol=1e-15)
         np.testing.assert_allclose(b2_probabilities(st, detune_zero), base, atol=1e-15)
-
-
-def test_modan_erasure_ignores_mode_labels(rng):
-    # statistics depend on path amplitudes only: permuting the which-mode
-    # labels entering the erasure step changes nothing
-    d = 8
-    amps = random_state(d, rng).amplitudes
-    labels = np.arange(d) * 2 + 3
-    permuted = labels[rng.permutation(d)]
-    np.testing.assert_array_equal(modan_erase(amps, labels), modan_erase(amps, permuted))
 
 
 # ----------------------------------------------------------------- preparation

@@ -233,6 +233,19 @@ def test_eve_fixed_basis_also_detected():
     assert stats.aborted
 
 
+def test_nothing_sacrificed_aborts():
+    # 4 sifted rounds and none sacrificed: no error estimate, so no key,
+    # although this Eve learns 1.5 bits per symbol
+    mub = build_mub_family(4, 2)
+    stats, _ = run_session(
+        SessionConfig(d=4, photons=12, seed=0, channel=ChannelSpec((Eve(EveStrategy(mub)),)))
+    )
+    assert stats.sacrificed_count == 0 and stats.low_statistics
+    assert stats.eve_mutual_information_estimate == pytest.approx(1.5)
+    assert stats.aborted
+    assert stats.key_bits == 0.0 and stats.key_symbols == []
+
+
 def test_key_accounting_exact():
     stats, records = run_session(noiseless_config(d=8, photons=10_000))
     unsacrificed = [r for r in records if r.sifted and not r.sacrificed]

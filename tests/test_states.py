@@ -143,6 +143,7 @@ def test_build_mub_family_pair():
     assert fam.num_bases == 2
     np.testing.assert_allclose(fam[0].matrix, np.eye(4), atol=1e-15)
     np.testing.assert_allclose(fam[1].matrix, fourier_unitary(4).matrix, atol=1e-15)
+    assert build_mub_family(4, 2) is fam  # built once per process
 
 
 def test_build_mub_family_prime_full():
