@@ -63,6 +63,7 @@ from .protocol import (
     RoundRecord,
     SessionConfig,
     SessionStats,
+    Transcript,
     estimate_qber,
     run_session,
     sift,

@@ -3,27 +3,44 @@
 Transverse-frame rotation (static, per-photon random, or time-varying),
 Gouy-phase accumulation over the link distance, photon loss, the rotational
 frequency shift picked up by nonzero-OAM encodings, and intercept-resend
-eavesdropping.  Elements compose in list order via ChannelSpec; all
-applications are pure apart from explicit PRNG draws.
+eavesdropping.  Elements compose in list order via ChannelSpec.
+
+Every element acts on a Flight, a chunk of photons held as the rows of one
+amplitude array, in two steps: ``draw(rng)`` takes one photon's PRNG draws
+(``width`` numbers: a uniform for RandomRotation and for Loss, a basis and a
+uniform for Eve, nothing for the others; ``absorbs(drawn)`` says whether
+they ended the photon, which only a Loss does), and ``apply(flight, draws)``
+acts on all rows at once, given those draws as columns.  Apart from the draws
+every application is pure.  The single-state functions (apply_rotation,
+apply_gouy, apply_loss, apply_frequency_shift, eve_attack, apply_channel)
+are batches of one.
 
 The encoding's headline property lives here: an l = 0 state is bitwise
 unchanged by any rotation of the transverse frame, and a fixed-l sector
-only ever picks up the global phase e^{i l phi0}.
+only ever picks up the global phase e^{i l phi0}.  Rotation,
+TimeVaryingRotation and FrequencyShift are global-phase-only elements: they
+multiply all amplitudes of a photon by one unit-modulus factor, draw
+nothing and change no probability, so at any l a session with them is
+transcript-identical to the same session without them.  RandomRotation is
+global-phase-only too but draws one uniform per photon, so a session with
+it is transcript-identical to one with Loss(0.0), which draws one uniform
+and never absorbs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, IndexOutOfRange, WrongFrame
+from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, WrongFrame, require_finite
 from .modes import BeamGeometry, beam_params
-from .states import Frame, MubFamily, PureState, born_measure
+from .states import Frame, MubFamily, PureState, _trusted_state, physical_orders, sample_rows
 
 __all__ = [
+    "Flight",
     "Rotation",
     "RandomRotation",
     "TimeVaryingRotation",
@@ -46,31 +63,138 @@ __all__ = [
 ]
 
 
+@dataclass
+class Flight:
+    """Photons in flight, one row each.
+
+    ``amplitudes`` holds the LG-side logical amplitudes, ``t`` the emission
+    times, ``delivered`` whether each photon is still in flight (rows of
+    absorbed photons are never read again), and ``eve_basis`` /
+    ``eve_outcome`` the last intercept-resend record of each photon, -1
+    where none was made.
+    """
+
+    amplitudes: np.ndarray
+    t: np.ndarray
+    oam_sector: int
+    delivered: np.ndarray = field(init=False)
+    eve_basis: np.ndarray = field(init=False)
+    eve_outcome: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.amplitudes)
+        self.delivered = np.ones(n, dtype=bool)
+        self.eve_basis = np.full(n, -1, dtype=np.intp)
+        self.eve_outcome = np.full(n, -1, dtype=np.intp)
+
+    @property
+    def d(self) -> int:
+        return self.amplitudes.shape[1]
+
+
+def _rotation_factors(l: int, angle) -> np.ndarray | None:
+    """e^{i l angle} as one column per photon; None (the identity) at l = 0."""
+    return None if l == 0 else np.reshape(np.exp(1j * l * angle), (-1, 1))
+
+
+class _PhaseMap:
+    """An element that multiplies the amplitudes by phase factors.
+
+    ``factors(flight, draws)`` returns an array broadcastable against the
+    amplitude rows, or None when the element is the identity.
+    """
+
+    width = 0
+
+    def absorbs(self, drawn) -> bool:
+        return False
+
+    def apply(self, flight: Flight, draws: np.ndarray) -> None:
+        factors = self.factors(flight, draws)
+        if factors is not None:
+            flight.amplitudes *= factors
+
+
 @dataclass(frozen=True)
-class Rotation:
+class Rotation(_PhaseMap):
     """Static misalignment of the receiver's transverse frame, in radians."""
 
     angle: float
 
+    def __post_init__(self) -> None:
+        require_finite("rotation angle", self.angle)
+
+    def factors(self, flight: Flight, draws: np.ndarray) -> np.ndarray | None:
+        return _rotation_factors(flight.oam_sector, self.angle)
+
 
 @dataclass(frozen=True)
-class RandomRotation:
+class RandomRotation(_PhaseMap):
     """Fresh uniform angle in [0, 2pi) per photon; one PRNG draw each."""
 
+    width = 1
+
+    def draw(self, rng: np.random.Generator) -> tuple[float]:
+        return (rng.random(),)
+
+    def factors(self, flight: Flight, draws: np.ndarray) -> np.ndarray | None:
+        return _rotation_factors(flight.oam_sector, draws[:, 0] * 2.0 * math.pi)
+
 
 @dataclass(frozen=True)
-class TimeVaryingRotation:
+class TimeVaryingRotation(_PhaseMap):
     """Relative frame rotation at angular velocity omega (rad/s)."""
 
     omega: float
 
+    def __post_init__(self) -> None:
+        require_finite("rotation omega", self.omega)
+
+    def factors(self, flight: Flight, draws: np.ndarray) -> np.ndarray | None:
+        return _rotation_factors(flight.oam_sector, self.omega * flight.t)
+
 
 @dataclass(frozen=True)
-class Gouy:
-    """Order-dependent propagation phase accumulated over distance z."""
+class Gouy(_PhaseMap):
+    """Order-dependent propagation phase accumulated over distance z.
+
+    Component n (physical order 2n + l) is multiplied by
+    e^{-i(2n + l + 1) psi(z)}, the propagation-phase convention of the mode
+    functions.  z = 0 is the identity; in the far field the relative factor
+    between neighboring components approaches (-1).
+    """
 
     z: float
     geom: BeamGeometry
+
+    def __post_init__(self) -> None:
+        require_finite("Gouy distance z", self.z)
+
+    def factors(self, flight: Flight, draws: np.ndarray) -> np.ndarray | None:
+        if self.z == 0.0:
+            return None
+        psi = beam_params(self.geom, self.z).psi
+        return np.exp(-1j * (physical_orders(flight.d, flight.oam_sector) + 1) * psi)
+
+
+@dataclass(frozen=True)
+class FrequencyShift(_PhaseMap):
+    """Rotational frequency shift of an l != 0 encoding (rad/s).
+
+    Global phase e^{i l omega t}: unobservable on its own; its operational
+    consequence is modeled through the measurement device's detuning knob.
+    """
+
+    omega: float
+
+    def __post_init__(self) -> None:
+        require_finite("frequency shift omega", self.omega)
+
+    def factors(self, flight: Flight, draws: np.ndarray) -> np.ndarray | None:
+        # Not _rotation_factors(l, omega * t): the product order 1j*l*omega*t
+        # is the one the transcripts were first generated with, to the last bit.
+        l = flight.oam_sector
+        return None if l == 0 else np.reshape(np.exp(1j * l * self.omega * flight.t), (-1, 1))
 
 
 @dataclass(frozen=True)
@@ -79,16 +203,22 @@ class Loss:
 
     probability: float
 
+    width = 1
+
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"loss probability must be in [0, 1], got {self.probability}")
+            raise ConfigInvalid(f"loss probability must be in [0, 1], got {self.probability}")
 
+    def draw(self, rng: np.random.Generator) -> tuple[float]:
+        return (rng.random(),)
 
-@dataclass(frozen=True)
-class FrequencyShift:
-    """Rotational frequency shift of an l != 0 encoding (rad/s)."""
+    def absorbs(self, drawn):
+        """Whether the uniform ``drawn[0]`` absorbs the photon; ``drawn`` is
+        one photon's draws or, transposed, a chunk's columns."""
+        return drawn[0] < self.probability
 
-    omega: float
+    def apply(self, flight: Flight, draws: np.ndarray) -> None:
+        flight.delivered &= ~self.absorbs(draws.T)
 
 
 @dataclass(frozen=True)
@@ -110,9 +240,42 @@ class EveStrategy:
 
 @dataclass(frozen=True)
 class Eve:
-    """Eavesdropper element wrapping an intercept-resend strategy."""
+    """Intercept-resend: measure in a guessed basis, forward the eigenstate.
+
+    Draws one uniform basis when the strategy is random (none when fixed),
+    then one uniform for the measurement.  The forwarded photon keeps its
+    frame and OAM sector; the guess is recorded for information-leak
+    accounting.
+    """
 
     strategy: EveStrategy
+
+    width = 2
+
+    def absorbs(self, drawn) -> bool:
+        return False
+
+    def draw(self, rng: np.random.Generator) -> tuple[int, float]:
+        fixed = self.strategy.fixed_basis
+        basis = rng.integers(self.strategy.mub.num_bases) if fixed is None else fixed
+        return basis, rng.random()
+
+    def apply(self, flight: Flight, draws: np.ndarray) -> None:
+        mub = self.strategy.mub
+        if mub.d != flight.d:
+            raise DimensionMismatch(
+                f"state dimension {flight.d} != eavesdropper basis dimension {mub.d}"
+            )
+        rows = np.flatnonzero(flight.delivered)
+        bases = draws[rows, 0]
+        for b in range(mub.num_bases):
+            sel = rows[bases == b]
+            if sel.size:
+                basis = mub[b]
+                outcome = sample_rows(basis.probabilities(flight.amplitudes[sel]), draws[sel, 1])
+                flight.amplitudes[sel] = basis.matrix.T[outcome]
+                flight.eve_basis[sel] = b
+                flight.eve_outcome[sel] = outcome
 
 
 ChannelElement = Union[Rotation, RandomRotation, TimeVaryingRotation, Gouy, Loss, FrequencyShift, Eve]
@@ -130,6 +293,38 @@ class ChannelSpec:
     def has_eve(self) -> bool:
         return any(isinstance(el, Eve) for el in self.elements)
 
+    @property
+    def width(self) -> int:
+        """Draws per photon that reaches the end of the channel."""
+        return sum(el.width for el in self.elements)
+
+    def draw(self, rng: np.random.Generator) -> tuple[list, bool]:
+        """One photon's draws, element by element in list order.
+
+        Returns ``width`` numbers and whether the photon got through.  The
+        first absorption ends the draws; the numbers after it are 0.
+        """
+        draws: list = []
+        for el in self.elements:
+            if not el.width:
+                continue
+            drawn = el.draw(rng)
+            draws.extend(drawn)
+            if el.absorbs(drawn):
+                draws.extend([0.0] * (self.width - len(draws)))
+                return draws, False
+        return draws, True
+
+    def apply(self, flight: Flight, draws: np.ndarray) -> None:
+        """Apply every element in order; ``draws`` has ``width`` columns.
+
+        When several Eve elements are present the last guess is recorded.
+        """
+        col = 0
+        for el in self.elements:
+            el.apply(flight, draws[:, col : col + el.width])
+            col += el.width
+
 
 class EveGuess(NamedTuple):
     """What the eavesdropper learned from one photon."""
@@ -145,6 +340,21 @@ class ChannelResult(NamedTuple):
     eve_guess: EveGuess | None
 
 
+def _flight_of(state: PureState, t: float = 0.0) -> Flight:
+    return Flight(state.amplitudes[None].copy(), np.array([t]), state.oam_sector)
+
+
+def _rephased(state: PureState, element: _PhaseMap, t: float = 0.0) -> PureState:
+    """Batch-of-one phase map; ``state`` itself when the element is the identity."""
+    factors = element.factors(_flight_of(state, t), np.empty((1, 0)))
+    return state if factors is None else state.rephased(np.ravel(factors))
+
+
+def _require_flight_frame(state: PureState) -> None:
+    if state.frame is not Frame.LG_SIDE:
+        raise WrongFrame("channel elements act on the LG-side (in-flight) state")
+
+
 def apply_rotation(state: PureState, angle: float) -> PureState:
     """Rotate the transverse frame by ``angle`` about the propagation axis.
 
@@ -152,31 +362,19 @@ def apply_rotation(state: PureState, angle: float) -> PureState:
     up the global phase e^{i l angle} on every amplitude, so any
     superposition within the sector is unchanged observationally.
     """
-    if state.frame is not Frame.LG_SIDE:
-        raise WrongFrame("rotations act on the LG-side (in-flight) state")
-    l = state.oam_sector
-    if l == 0:
-        return state
-    return state.rephased(np.exp(1j * l * angle))
+    _require_flight_frame(state)
+    return _rephased(state, Rotation(angle))
 
 
 def apply_time_varying_rotation(state: PureState, omega: float, t: float) -> PureState:
     """Rotation by the frame angle omega * t at the photon's emission time."""
-    return apply_rotation(state, omega * t)
+    _require_flight_frame(state)
+    return _rephased(state, TimeVaryingRotation(omega), t)
 
 
 def apply_gouy(state: PureState, z: float, geom: BeamGeometry) -> PureState:
-    """Dephase logical components by their mode order over distance z.
-
-    Component n (physical order 2n + l) is multiplied by
-    e^{-i(2n + l + 1) psi(z)}, the propagation-phase convention of the mode
-    functions.  z = 0 is the identity; in the far field the relative factor
-    between neighboring components approaches (-1).
-    """
-    if z == 0.0:
-        return state
-    psi = beam_params(geom, z).psi
-    return state.rephased(np.exp(-1j * (state.physical_orders() + 1) * psi))
+    """Dephase logical components by their mode order over distance z."""
+    return _rephased(state, Gouy(z, geom))
 
 
 def apply_loss(
@@ -186,74 +384,45 @@ def apply_loss(
 
     Returns the delivered state, or None when the photon is lost.
     """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"loss probability must be in [0, 1], got {probability}")
-    return None if rng.random() < probability else state
+    loss = Loss(probability)
+    return None if loss.absorbs(loss.draw(rng)) else state
 
 
 def apply_frequency_shift(state: PureState, omega: float, t: float) -> PureState:
-    """Rotation-induced frequency shift: global phase e^{i l omega t}.
-
-    Unobservable on its own; its operational consequence is modeled through
-    the measurement device's detuning knob.
-    """
-    l = state.oam_sector
-    if l == 0:
-        return state
-    return state.rephased(np.exp(1j * l * omega * t))
+    """Rotation-induced frequency shift: global phase e^{i l omega t}."""
+    return _rephased(state, FrequencyShift(omega), t)
 
 
-def eve_attack(
-    state: PureState, strategy: EveStrategy, rng: np.random.Generator
-) -> tuple[PureState, EveGuess]:
-    """Intercept-resend: measure in a guessed basis, forward the eigenstate.
-
-    Draws one uniform basis when the strategy is random (none when fixed),
-    then one draw for the measurement.  The forwarded photon keeps the
-    original frame and OAM sector; the guess is returned for
-    information-leak accounting.
-    """
-    if strategy.mub.d != state.d:
-        raise DimensionMismatch(
-            f"state dimension {state.d} != eavesdropper basis dimension {strategy.mub.d}"
-        )
-    if strategy.fixed_basis is None:
-        basis_idx = int(rng.integers(strategy.mub.num_bases))
-    else:
-        basis_idx = strategy.fixed_basis
-    basis = strategy.mub[basis_idx]
-    outcome = born_measure(state, basis, rng)
-    resent = basis.state(outcome, oam_sector=state.oam_sector, frame=state.frame)
-    return resent, EveGuess(basis=basis_idx, outcome=outcome)
+def _one_photon(spec: ChannelSpec, state: PureState, t: float, rng: np.random.Generator) -> ChannelResult:
+    """Batch-of-one ChannelSpec: draw, apply, and read the row back."""
+    flight = _flight_of(state, t)
+    draws, _ = spec.draw(rng)
+    spec.apply(flight, np.array([draws], dtype=float))
+    guess = None
+    if flight.eve_basis[0] >= 0:
+        guess = EveGuess(int(flight.eve_basis[0]), int(flight.eve_outcome[0]))
+    if not flight.delivered[0]:
+        return ChannelResult(None, guess)
+    amplitudes = flight.amplitudes[0]
+    amplitudes.setflags(write=False)
+    return ChannelResult(_trusted_state(amplitudes, state.oam_sector, state.frame), guess)
 
 
 def apply_channel(
     spec: ChannelSpec, state: PureState, t: float, rng: np.random.Generator
 ) -> ChannelResult:
-    """Apply every element in order to one photon emitted at time t.
+    """Apply every element in order to one in-flight photon emitted at time t.
 
-    Stops at the first absorption.  When several Eve elements are present
-    the last guess is reported.
+    Stops drawing at the first absorption.  When several Eve elements are
+    present the last guess is reported.
     """
-    guess: EveGuess | None = None
-    current: PureState | None = state
-    for el in spec.elements:
-        if isinstance(el, Rotation):
-            current = apply_rotation(current, el.angle)
-        elif isinstance(el, RandomRotation):
-            current = apply_rotation(current, rng.random() * 2.0 * math.pi)
-        elif isinstance(el, TimeVaryingRotation):
-            current = apply_time_varying_rotation(current, el.omega, t)
-        elif isinstance(el, Gouy):
-            current = apply_gouy(current, el.z, el.geom)
-        elif isinstance(el, Loss):
-            current = apply_loss(current, el.probability, rng)
-            if current is None:
-                return ChannelResult(None, guess)
-        elif isinstance(el, FrequencyShift):
-            current = apply_frequency_shift(current, el.omega, t)
-        elif isinstance(el, Eve):
-            current, guess = eve_attack(current, el.strategy, rng)
-        else:
-            raise TypeError(f"unknown channel element {el!r}")
-    return ChannelResult(current, guess)
+    _require_flight_frame(state)
+    return _one_photon(spec, state, t, rng)
+
+
+def eve_attack(
+    state: PureState, strategy: EveStrategy, rng: np.random.Generator
+) -> tuple[PureState, EveGuess]:
+    """Batch-of-one intercept-resend (see Eve): the forwarded state and the guess."""
+    resent, guess = _one_photon(ChannelSpec((Eve(strategy),)), state, 0.0, rng)
+    return resent, guess

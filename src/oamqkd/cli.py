@@ -65,9 +65,9 @@ from .channel import (
     TimeVaryingRotation,
 )
 from .devices import DeviceConfig
-from .exceptions import ConfigInvalid
+from .exceptions import ConfigInvalid, require_finite
 from .modes import BeamGeometry, ModeFamily, ModeLabel, mode_field, reference_grid
-from .protocol import SessionConfig, SessionStats, run_session
+from .protocol import RoundRecord, SessionConfig, SessionStats, Transcript, run_session
 from .states import build_mub_family
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -159,11 +159,14 @@ class RunConfig:
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
-def _finite(value) -> float:
-    """A finite float; booleans are rejected rather than read as 0 or 1."""
-    if isinstance(value, bool) or not math.isfinite(value := float(value)):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
+def _number(value) -> float:
+    """A float; booleans are rejected rather than read as 0 or 1.
+
+    Finiteness and ranges are checked by the dataclasses the value feeds.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _build_element(spec: str, cfg: RunConfig):
@@ -171,17 +174,17 @@ def _build_element(spec: str, cfg: RunConfig):
     name, _, arg = spec.partition(":")
     try:
         if name == "rotation":
-            return Rotation(angle=_finite(arg))
+            return Rotation(angle=_number(arg))
         if name == "random_rotation":
             return RandomRotation()
         if name == "time_rotation":
-            return TimeVaryingRotation(omega=_finite(arg))
+            return TimeVaryingRotation(omega=_number(arg))
         if name == "gouy":
-            return Gouy(z=_finite(arg), geom=cfg.geometry())
+            return Gouy(z=_number(arg), geom=cfg.geometry())
         if name == "loss":
-            return Loss(probability=_finite(arg))
+            return Loss(probability=_number(arg))
         if name == "freq_shift":
-            return FrequencyShift(omega=_finite(arg))
+            return FrequencyShift(omega=_number(arg))
         if name == "eve":
             mub = build_mub_family(cfg.d, cfg.mubs)
             if arg == "random":
@@ -212,7 +215,9 @@ def _parse_dump_entry(entry, z=None) -> tuple[ModeLabel, float]:
     try:
         family = ModeFamily(str(family_name).upper())
         label = ModeLabel(family, int(n), int(m))
-        return label, _finite(entry_z if z is None else z)
+        plane = _number(entry_z if z is None else z)
+        require_finite("dump plane z", plane)
+        return label, plane
     except (KeyError, ValueError) as exc:
         raise ConfigInvalid(f"dump_modes entry {entry!r}: {exc}") from exc
 
@@ -222,10 +227,15 @@ def _coerce(key: str, value):
     kind = _FIELD_TYPES[key]
     try:
         if key == "eve":
-            return None if value is None else str(value)
-        if key == "channel":
-            return [str(v) for v in value]
-        if key == "dump_modes":
+            if value is None or isinstance(value, str):
+                return value
+            raise ValueError(f"expected a string or null, got {value!r}")
+        if key in ("channel", "dump_modes"):
+            if not isinstance(value, list):
+                raise ValueError(f"expected a list, got {value!r}")
+            if key == "channel":
+                if not all(isinstance(v, str) for v in value):
+                    raise ValueError(f"expected a list of strings, got {value!r}")
             return list(value)
         if kind is bool:
             if isinstance(value, bool):
@@ -236,8 +246,10 @@ def _coerce(key: str, value):
                 raise ValueError(f"expected an integer, got {value!r}")
             return int(value)
         if kind is float:
-            return _finite(value)
-        return str(value)
+            return _number(value)
+        if isinstance(value, str):
+            return value
+        raise ValueError(f"expected a string, got {value!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"config field {key!r}: {exc}") from exc
 
@@ -289,12 +301,13 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     """
     args = _build_arg_parser().parse_args(argv)
 
-    values = _load_config_file(args.config) if args.config else {}
+    file_values = _load_config_file(args.config) if args.config else {}
+    # file values are checked even where a flag replaces them
+    values = {key: _coerce(key, value) for key, value in file_values.items()}
     for key in _FIELD_TYPES:
         flag_value = getattr(args, key)
         if flag_value is not None and key != "dump_modes":
-            values[key] = flag_value
-    values = {key: _coerce(key, value) for key, value in values.items()}
+            values[key] = _coerce(key, flag_value)
 
     dump_modes = [_parse_dump_entry(e) for e in values.pop("dump_modes", [])]
     if args.dump_modes:
@@ -332,36 +345,24 @@ def _stats_payload(cfg: RunConfig, stats: SessionStats) -> dict:
     }
 
 
-def _write_transcript(path: Path, records) -> None:
+def _write_transcript(path: Path, transcript: Transcript) -> None:
+    """One CSV row per round; an undelivered round has an empty outcome."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "round_id",
-                "t",
-                "alice_basis",
-                "alice_symbol",
-                "delivered",
-                "bob_basis",
-                "bob_outcome",
-                "sifted",
-                "sacrificed",
-            ]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.round_id,
-                    repr(r.t),
-                    r.alice_basis,
-                    r.alice_symbol,
-                    int(r.delivered),
-                    r.bob_basis,
-                    "" if r.bob_outcome is None else r.bob_outcome,
-                    int(r.sifted),
-                    int(r.sacrificed),
-                ]
+        writer.writerow([f.name for f in fields(RoundRecord)])
+        writer.writerows(
+            zip(
+                range(len(transcript)),
+                transcript.t.tolist(),  # floats print as repr()
+                transcript.alice_basis.tolist(),
+                transcript.alice_symbol.tolist(),
+                transcript.delivered.astype(np.int8).tolist(),
+                transcript.bob_basis.tolist(),
+                ["" if o < 0 else o for o in transcript.bob_outcome.tolist()],
+                transcript.sifted.astype(np.int8).tolist(),
+                transcript.sacrificed.astype(np.int8).tolist(),
             )
+        )
 
 
 def _write_mode_dump(path: Path, label: ModeLabel, z: float, cfg: RunConfig) -> None:
@@ -391,13 +392,13 @@ def run(cfg: RunConfig) -> int:
         print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return 1
 
-    stats, records = run_session(session_cfg)
+    stats, transcript = run_session(session_cfg)
 
     try:
         stats_path = out_dir / "stats.json"
         stats_path.write_text(json.dumps(_stats_payload(cfg, stats), indent=2, sort_keys=True) + "\n")
         if cfg.transcript:
-            _write_transcript(out_dir / "transcript.csv", records)
+            _write_transcript(out_dir / "transcript.csv", transcript)
         for label, z in cfg.dump_modes:
             name = f"mode_{label.family.value}_{label.n}_{label.m}_z{z:g}.csv"
             _write_mode_dump(out_dir / name, label, z, cfg)

@@ -14,8 +14,11 @@
   HG and LG families index-wise, so amplitudes are untouched and only the
   frame tag flips.
 
-Devices are immutable after construction; measurement calls consume exactly
-one PRNG draw each (cumulative-probability inversion).
+Devices are immutable after construction.  The measurement chains act on
+rows: ``measure_b1_rows``/``measure_b2_rows`` take a ``(n, d)`` HG-side
+amplitude array and one uniform per row (cumulative-probability inversion);
+``measure_b1``/``measure_b2`` are the batch-of-one forms and consume exactly
+one PRNG draw each.
 """
 
 from __future__ import annotations
@@ -26,9 +29,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, WrongFrame
+from .exceptions import (
+    ConfigInvalid,
+    DimensionMismatch,
+    IndexOutOfRange,
+    WrongFrame,
+    require_finite,
+)
 from .modes import BeamGeometry, beam_params, default_geometry
-from .states import Frame, PureState, fourier_unitary, make_b1_state, sample_index
+from .states import Frame, PureState, fourier_unitary, make_b1_state, sample_rows
 
 __all__ = [
     "ConvertDirection",
@@ -40,6 +49,8 @@ __all__ = [
     "b2_probabilities",
     "measure_b1",
     "measure_b2",
+    "measure_b1_rows",
+    "measure_b2_rows",
     "prepare_b1",
     "prepare_b2",
 ]
@@ -72,6 +83,8 @@ class DeviceConfig:
             raise ConfigInvalid(
                 f"d must be a power of 2 for the sorter-cascade device model, got {self.d}"
             )
+        require_finite("propagation_z", self.propagation_z)
+        require_finite("detuning_epsilon", self.detuning_epsilon)
         if self.detuning_epsilon < 0:
             raise ConfigInvalid(f"detuning_epsilon must be >= 0, got {self.detuning_epsilon}")
         if self.geom is None:
@@ -173,41 +186,54 @@ def b1_probabilities(state: PureState, cfg: DeviceConfig) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def measure_b1(state: PureState, cfg: DeviceConfig, rng: np.random.Generator) -> int:
-    """Sort the photon through the SMI cascade and report the clicked port.
+def measure_b1_rows(amplitudes: np.ndarray, cfg: DeviceConfig, u: np.ndarray) -> np.ndarray:
+    """Sort each photon row through the SMI cascade; report the clicked port.
 
     Ports are labeled by the ladder mode they receive, so the outcome is a
-    projective B1 measurement; one PRNG draw.
+    projective B1 measurement.  The cumulative inversion runs over the
+    ports in arm order, one uniform per row.
     """
-    _check_measurable(state, cfg)
     leaf_modes = sorter_leaf_modes(cfg.d)
-    leaf_probs = np.abs(state.amplitudes[leaf_modes]) ** 2
-    return int(leaf_modes[sample_index(leaf_probs, rng)])
+    leaf_probs = np.abs(amplitudes[..., leaf_modes]) ** 2
+    return leaf_modes[sample_rows(leaf_probs, u)]
 
 
-def b2_probabilities(state: PureState, cfg: DeviceConfig) -> np.ndarray:
-    """Outcome distribution of the sorter + MODAN + inverse-Fourier chain."""
+def measure_b1(state: PureState, cfg: DeviceConfig, rng: np.random.Generator) -> int:
+    """Batch-of-one ``measure_b1_rows``; one PRNG draw."""
     _check_measurable(state, cfg)
+    return int(measure_b1_rows(state.amplitudes, cfg, rng.random()))
+
+
+def _b2_distribution(amplitudes: np.ndarray, cfg: DeviceConfig) -> np.ndarray:
+    """Outcome distribution of the B2 chain for amplitude rows (..., d)."""
     # (i) coherent sort: logical component n exits the cascade on path n,
     # still in its ladder mode (order 2n + l identifies the mode per path).
     # (ii) the MODAN on each path erases the mode label and keeps the path
     # amplitude, so only the logical amplitudes reach the interferometer.
-    path_amps = state.amplitudes
+    path_amps = amplitudes
     # (iii)+(iv) per-path compensation / detuning phases.
     factors = cfg._path_phase_factors
     if factors is not None:
         path_amps = path_amps * factors
     # (v) inverse Fourier transform across the d paths; (vi) detectors.
-    out = fourier_unitary(cfg.d).adjoint @ path_amps
-    return np.abs(out) ** 2
+    return fourier_unitary(cfg.d).probabilities(path_amps)
+
+
+def b2_probabilities(state: PureState, cfg: DeviceConfig) -> np.ndarray:
+    """Outcome distribution of the sorter + MODAN + inverse-Fourier chain."""
+    _check_measurable(state, cfg)
+    return _b2_distribution(state.amplitudes, cfg)
+
+
+def measure_b2_rows(amplitudes: np.ndarray, cfg: DeviceConfig, u: np.ndarray) -> np.ndarray:
+    """Projective B2 measurement of each row via mode erasure and path interference."""
+    return sample_rows(_b2_distribution(amplitudes, cfg), u)
 
 
 def measure_b2(state: PureState, cfg: DeviceConfig, rng: np.random.Generator) -> int:
-    """Projective B2 measurement via mode erasure and path interference.
-
-    One PRNG draw.
-    """
-    return sample_index(b2_probabilities(state, cfg), rng)
+    """Batch-of-one ``measure_b2_rows``; one PRNG draw."""
+    _check_measurable(state, cfg)
+    return int(measure_b2_rows(state.amplitudes, cfg, rng.random()))
 
 
 def prepare_b1(d: int, k: int, cfg: DeviceConfig, oam_sector: int = 0) -> PureState:

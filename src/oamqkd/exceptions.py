@@ -5,6 +5,8 @@ keeps ``except ValueError``-style handling working for callers that do not
 care about the distinction.
 """
 
+import math
+
 
 class GridTooCoarse(RuntimeError):
     """Quadrature grid cannot resolve a mode to the requested tolerance."""
@@ -32,3 +34,9 @@ class ConfigInvalid(ValueError):
     Raised for config files, flags, and the session, device, and beam
     dataclasses alike; the command line exits with status 2 on it.
     """
+
+
+def require_finite(name: str, value: float) -> None:
+    """Raise ConfigInvalid unless ``value`` is a finite number."""
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"{name} must be finite, got {value!r}")

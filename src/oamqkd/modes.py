@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigInvalid, GridTooCoarse
+from .exceptions import ConfigInvalid, GridTooCoarse, require_finite
 
 __all__ = [
     "ModeFamily",
@@ -88,6 +88,8 @@ class BeamGeometry:
     rayleigh_range: float
 
     def __post_init__(self) -> None:
+        require_finite("wavenumber", self.wavenumber)
+        require_finite("rayleigh_range", self.rayleigh_range)
         if self.wavenumber <= 0:
             raise ConfigInvalid(f"wavenumber must be > 0, got {self.wavenumber}")
         if self.rayleigh_range <= 0:

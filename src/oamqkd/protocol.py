@@ -9,37 +9,52 @@ session aborts when that estimate exceeds the configured threshold or when
 no round was sacrificed, so that no estimate exists.
 
 Determinism: round i consumes only the PRNG substream seeded by
-(seed, 0, i) — in order: Alice basis, Alice symbol, channel draws, Bob
-basis, Bob measurement — and sacrifice sampling uses the separate substream
-(seed, 1).  Identical configs therefore produce identical transcripts
-regardless of processing order, which is what would make parallel round
-processing safe.
+(seed, 0, i) — in order: Alice basis, Alice symbol, the channel draws
+(element by element: one uniform per RandomRotation and per Loss, a basis
+and a uniform per Eve; a photon absorbed by a Loss draws nothing further
+in the channel), Bob basis, and Bob's measurement uniform if the photon was
+delivered — and sacrifice sampling uses the separate substream (seed, 1),
+one uniform per sifted round in round order.  Identical configs therefore
+produce identical transcripts regardless of processing order.
+
+The engine runs the rounds in chunks (at most CHUNK_ROUNDS rounds and
+CHUNK_AMPLITUDES amplitudes each), each in two phases.
+Phase 1, the draws, is a Python loop that builds each round's generator
+and pulls that round's draws, in the order above, into columns.  Phase 2,
+the physics, works on the whole chunk as arrays: the prepared flight states
+are gathered as rows, each channel element acts on all rows at once (phase
+maps, a loss mask, measure-and-resend per Eve basis), and Bob measures the
+rows of each basis together.  Both phases use the draws exactly as a
+photon-by-photon loop would, so the chunk size changes no output.  Sifting
+and the sacrifice then work on the columns of the Transcript.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
-from .channel import ChannelSpec, apply_channel
+from .channel import ChannelSpec, Flight
 from .devices import (
     ConvertDirection,
     DeviceConfig,
-    measure_b1,
-    measure_b2,
+    measure_b1_rows,
+    measure_b2_rows,
     modal_convert,
     prepare_b1,
     prepare_b2,
 )
-from .exceptions import ConfigInvalid
-from .states import Frame, MubFamily, PureState, born_measure, build_mub_family, check_mub_family
+from .exceptions import ConfigInvalid, require_finite
+from .states import Frame, MubFamily, build_mub_family, check_mub_family, sample_rows
 
 __all__ = [
     "RoundRecord",
+    "Transcript",
     "SessionConfig",
     "SessionStats",
     "QberEstimate",
@@ -50,6 +65,10 @@ __all__ = [
 
 ROUND_STREAM = 0
 SIFT_STREAM = 1
+# a chunk holds at most CHUNK_ROUNDS rounds and CHUNK_AMPLITUDES amplitudes,
+# which bounds its per-round Python objects and its (chunk, d) arrays
+CHUNK_ROUNDS = 256
+CHUNK_AMPLITUDES = 4096
 
 
 @dataclass
@@ -65,6 +84,46 @@ class RoundRecord:
     bob_outcome: int | None
     sifted: bool = False
     sacrificed: bool = False
+
+
+@dataclass(eq=False)
+class Transcript:
+    """All rounds of a session as numpy columns, one entry per round in order.
+
+    ``bob_outcome`` is -1 where the photon was not delivered.  Iterating
+    yields RoundRecord rows (``bob_outcome`` None there); two transcripts
+    are equal when every column is.
+    """
+
+    t: np.ndarray
+    alice_basis: np.ndarray
+    alice_symbol: np.ndarray
+    delivered: np.ndarray
+    bob_basis: np.ndarray
+    bob_outcome: np.ndarray
+    sifted: np.ndarray = None
+    sacrificed: np.ndarray = None
+
+    def __post_init__(self) -> None:
+        for name in ("sifted", "sacrificed"):
+            if getattr(self, name) is None:
+                setattr(self, name, np.zeros(len(self.t), dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        columns = [getattr(self, col.name).tolist() for col in fields(self)]
+        for i, (t, ab, sym, dl, bb, out, sf, sc) in enumerate(zip(*columns)):
+            yield RoundRecord(i, t, ab, sym, dl, bb, None if out < 0 else out, sf, sc)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, col.name), getattr(other, col.name))
+            for col in fields(self)
+        )
 
 
 @dataclass(frozen=True)
@@ -95,6 +154,7 @@ class SessionConfig:
             raise ConfigInvalid(
                 f"qber_abort_threshold must be in [0, 1], got {self.qber_abort_threshold}"
             )
+        require_finite("emission_rate", self.emission_rate)
         if self.emission_rate <= 0:
             raise ConfigInvalid(f"emission_rate must be > 0, got {self.emission_rate}")
         if self.oam_sector < 0:
@@ -133,55 +193,50 @@ class QberEstimate(NamedTuple):
     low_statistics: bool
 
 
-def sift(records: list[RoundRecord]) -> list[RoundRecord]:
+def sift(transcript: Transcript) -> Transcript:
     """Mark as sifted every delivered round where the bases agree.
 
     Public discussion only: no symbol values are consulted.  Returns the
-    same list with flags set.
+    same transcript with its ``sifted`` column set.
     """
-    for rec in records:
-        rec.sifted = rec.delivered and rec.alice_basis == rec.bob_basis
-    return records
+    transcript.sifted = transcript.delivered & (transcript.alice_basis == transcript.bob_basis)
+    return transcript
 
 
 def estimate_qber(
-    records: list[RoundRecord], test_fraction: float, rng: np.random.Generator
+    transcript: Transcript, test_fraction: float, rng: np.random.Generator
 ) -> QberEstimate:
     """Sacrifice a Bernoulli(test_fraction) subsample of sifted rounds.
 
+    One uniform per sifted round, in round order, decides its sacrifice.
     The error rate is the mismatch fraction on the sacrificed rounds.  With
     an empty subsample the estimate is reported as 0 with the
     low_statistics flag raised instead of failing.
     """
     if not 0.0 <= test_fraction <= 1.0:
         raise ValueError(f"test_fraction must be in [0, 1], got {test_fraction}")
-    sacrificed = 0
-    mismatches = 0
-    for rec in records:
-        if not rec.sifted:
-            continue
-        rec.sacrificed = rng.random() < test_fraction
-        if rec.sacrificed:
-            sacrificed += 1
-            if rec.bob_outcome != rec.alice_symbol:
-                mismatches += 1
+    sifted = np.flatnonzero(transcript.sifted)
+    chosen = sifted[rng.random(sifted.size) < test_fraction]
+    transcript.sacrificed = np.zeros(len(transcript), dtype=bool)
+    transcript.sacrificed[chosen] = True
+    sacrificed = chosen.size
     if sacrificed == 0:
         return QberEstimate(qber=0.0, sacrificed=0, low_statistics=True)
+    mismatches = int(
+        np.count_nonzero(transcript.bob_outcome[chosen] != transcript.alice_symbol[chosen])
+    )
     return QberEstimate(qber=mismatches / sacrificed, sacrificed=sacrificed, low_statistics=False)
 
 
-def _prepared_flight_states(
-    cfg: SessionConfig, mub: MubFamily
-) -> list[list[PureState]]:
-    """LG-side state sent for every (basis, symbol); preparation is pure.
+def _prepared_flight_states(cfg: SessionConfig, mub: MubFamily) -> np.ndarray:
+    """LG-side amplitudes sent for every (basis, symbol); preparation is pure.
 
     Bases 0 and 1 go through the device models (MODAN source, reversed B2
     chain); any further MUB bases have no hardware model and are prepared at
-    the logical level.
+    the logical level.  Row [b, k] is the state of symbol k in basis b.
     """
-    states: list[list[PureState]] = []
+    states = np.empty((cfg.num_mubs, cfg.d, cfg.d), dtype=complex)
     for b in range(cfg.num_mubs):
-        row = []
         for k in range(cfg.d):
             if b == 0:
                 hg = prepare_b1(cfg.d, k, cfg.device, oam_sector=cfg.oam_sector)
@@ -189,8 +244,7 @@ def _prepared_flight_states(
                 hg = prepare_b2(cfg.d, k, cfg.device, oam_sector=cfg.oam_sector)
             else:
                 hg = mub[b].state(k, oam_sector=cfg.oam_sector, frame=Frame.HG_SIDE)
-            row.append(modal_convert(hg, ConvertDirection.HG_TO_LG))
-        states.append(row)
+            states[b, k] = modal_convert(hg, ConvertDirection.HG_TO_LG).amplitudes
     return states
 
 
@@ -211,57 +265,118 @@ def _plugin_mutual_information(pairs: list[tuple[int, tuple[int, int]]]) -> floa
     return max(mi, 0.0)
 
 
-def run_session(cfg: SessionConfig) -> tuple[SessionStats, list[RoundRecord]]:
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n, as SeedSequence splits an int."""
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _round_entropy(seed: int, start: int, stop: int) -> list[np.ndarray]:
+    """Entropy of the substreams (seed, ROUND_STREAM, i), i in [start, stop).
+
+    SeedSequence splits each int of a tuple into its 32-bit words, so these
+    uint32 arrays seed the same streams as the tuples, without the
+    per-call conversion.
+    """
+    prefix = _uint32_words(seed) + _uint32_words(ROUND_STREAM)
+    high, low = np.divmod(np.arange(start, stop), 2**32)
+    block = np.empty((stop - start, len(prefix) + 2), dtype=np.uint32)
+    block[:, : len(prefix)] = prefix
+    block[:, -2] = low
+    block[:, -1] = high
+    return [row if wide else row[:-1] for row, wide in zip(block, high.tolist())]
+
+
+def _draw_rounds(cfg: SessionConfig, start: int, stop: int) -> np.ndarray:
+    """Phase 1: the draws of rounds [start, stop), one row per round.
+
+    Columns: Alice basis, Alice symbol, Bob basis, Bob's measurement uniform
+    (0 for an absorbed photon), then the channel's ``width`` draws.  Each
+    round draws from its own generator in the order of the module
+    docstring.
+    """
+    channel, num_mubs, d = cfg.channel, cfg.num_mubs, cfg.d
+    rows = []
+    for entropy in _round_entropy(cfg.seed, start, stop):
+        rng = Generator(PCG64(SeedSequence(entropy)))
+        alice_basis = rng.integers(num_mubs)
+        alice_symbol = rng.integers(d)
+        channel_draws, delivered = channel.draw(rng)
+        bob_basis = rng.integers(num_mubs)
+        bob_u = rng.random() if delivered else 0.0
+        rows.append((alice_basis, alice_symbol, bob_basis, bob_u, *channel_draws))
+    return np.array(rows, dtype=float)
+
+
+def _play_rounds(
+    cfg: SessionConfig, mub: MubFamily, flight_states: np.ndarray, draws: np.ndarray, t: np.ndarray
+) -> tuple[Flight, np.ndarray]:
+    """Phase 2: the physics of a chunk of rounds given their draws.
+
+    Returns the flight after the channel and Bob's outcome per round (-1
+    where the photon was absorbed).  The converters leave amplitudes
+    untouched, so Bob measures the flight rows as they arrive.
+    """
+    alice_basis = draws[:, 0].astype(np.intp)
+    alice_symbol = draws[:, 1].astype(np.intp)
+    bob_basis, bob_u = draws[:, 2], draws[:, 3]
+    flight = Flight(flight_states[alice_basis, alice_symbol], t, cfg.oam_sector)
+    cfg.channel.apply(flight, draws[:, 4:])
+    outcome = np.full(len(draws), -1, dtype=np.intp)
+    for b in range(cfg.num_mubs):
+        rows = np.flatnonzero(flight.delivered & (bob_basis == b))
+        amps, u = flight.amplitudes[rows], bob_u[rows]
+        if b == 0:
+            outcome[rows] = measure_b1_rows(amps, cfg.device, u)
+        elif b == 1:
+            outcome[rows] = measure_b2_rows(amps, cfg.device, u)
+        else:
+            outcome[rows] = sample_rows(mub[b].probabilities(amps), u)
+    return flight, outcome
+
+
+def run_session(cfg: SessionConfig) -> tuple[SessionStats, Transcript]:
     """Run one full BB84 session; deterministic for a fixed config."""
     mub = build_mub_family(cfg.d, cfg.num_mubs)
-    flight = _prepared_flight_states(cfg, mub)
-    device = cfg.device
-    channel = cfg.channel
-    d, num_mubs, seed = cfg.d, cfg.num_mubs, cfg.seed
-    dt = 1.0 / cfg.emission_rate
+    flight_states = _prepared_flight_states(cfg, mub)
+    n, dt = cfg.photons, 1.0 / cfg.emission_rate
+    symbol_type = np.min_scalar_type(-cfg.d)  # signed, so -1 can mark "no outcome"
+    transcript = Transcript(
+        t=np.empty(n),
+        alice_basis=np.empty(n, dtype=np.int8),
+        alice_symbol=np.empty(n, dtype=symbol_type),
+        delivered=np.empty(n, dtype=bool),
+        bob_basis=np.empty(n, dtype=np.int8),
+        bob_outcome=np.empty(n, dtype=symbol_type),
+    )
+    eve_basis = np.empty(n, dtype=np.int8)
+    eve_outcome = np.empty(n, dtype=symbol_type)
 
-    records: list[RoundRecord] = []
-    eve_log: dict[int, tuple[int, int]] = {}
+    chunk = max(1, min(CHUNK_ROUNDS, CHUNK_AMPLITUDES // cfg.d))
     start = time.perf_counter()
-    for i in range(cfg.photons):
-        rng = np.random.default_rng((seed, ROUND_STREAM, i))
-        alice_basis = int(rng.integers(num_mubs))
-        alice_symbol = int(rng.integers(d))
-        t = i * dt
-        state, guess = apply_channel(channel, flight[alice_basis][alice_symbol], t, rng)
-        bob_basis = int(rng.integers(num_mubs))
-        if state is None:
-            outcome = None
-        else:
-            hg = modal_convert(state, ConvertDirection.LG_TO_HG)
-            if bob_basis == 0:
-                outcome = measure_b1(hg, device, rng)
-            elif bob_basis == 1:
-                outcome = measure_b2(hg, device, rng)
-            else:
-                outcome = born_measure(hg, mub[bob_basis], rng)
-        records.append(
-            RoundRecord(
-                round_id=i,
-                t=t,
-                alice_basis=alice_basis,
-                alice_symbol=alice_symbol,
-                delivered=state is not None,
-                bob_basis=bob_basis,
-                bob_outcome=outcome,
-            )
-        )
-        if guess is not None:
-            eve_log[i] = (guess.basis, guess.outcome)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        draws = _draw_rounds(cfg, lo, hi)
+        t = np.arange(lo, hi) * dt
+        flight, outcome = _play_rounds(cfg, mub, flight_states, draws, t)
+        transcript.t[lo:hi] = t
+        transcript.alice_basis[lo:hi] = draws[:, 0]
+        transcript.alice_symbol[lo:hi] = draws[:, 1]
+        transcript.delivered[lo:hi] = flight.delivered
+        transcript.bob_basis[lo:hi] = draws[:, 2]
+        transcript.bob_outcome[lo:hi] = outcome
+        eve_basis[lo:hi] = flight.eve_basis
+        eve_outcome[lo:hi] = flight.eve_outcome
 
-    sift(records)
+    sift(transcript)
     estimate = estimate_qber(
-        records, cfg.test_fraction, np.random.default_rng((seed, SIFT_STREAM))
+        transcript, cfg.test_fraction, np.random.default_rng((cfg.seed, SIFT_STREAM))
     )
     elapsed = time.perf_counter() - start
 
-    delivered = sum(r.delivered for r in records)
-    sifted_count = sum(r.sifted for r in records)
     # fail closed: with nothing sacrificed there is no error estimate to trust
     aborted = estimate.low_statistics or estimate.qber > cfg.qber_abort_threshold
 
@@ -269,22 +384,21 @@ def run_session(cfg: SessionConfig) -> tuple[SessionStats, list[RoundRecord]]:
         key_symbols: list[int] = []
         key_bits = 0.0
     else:
-        key_symbols = [r.alice_symbol for r in records if r.sifted and not r.sacrificed]
-        key_bits = len(key_symbols) * math.log2(d)
+        key_symbols = transcript.alice_symbol[transcript.sifted & ~transcript.sacrificed].tolist()
+        key_bits = len(key_symbols) * math.log2(cfg.d)
 
     eve_mi = None
-    if channel.has_eve():
-        pairs = [
-            (r.alice_symbol, eve_log[r.round_id])
-            for r in records
-            if r.sifted and r.round_id in eve_log
-        ]
+    if cfg.channel.has_eve():
+        # round order: the plug-in estimate's float sum depends on it
+        seen = transcript.sifted & (eve_basis >= 0)
+        guesses = zip(eve_basis[seen].tolist(), eve_outcome[seen].tolist())
+        pairs = list(zip(transcript.alice_symbol[seen].tolist(), guesses))
         eve_mi = _plugin_mutual_information(pairs) if pairs else 0.0
 
     stats = SessionStats(
-        sent=cfg.photons,
-        delivered=delivered,
-        sifted_count=sifted_count,
+        sent=n,
+        delivered=int(np.count_nonzero(transcript.delivered)),
+        sifted_count=int(np.count_nonzero(transcript.sifted)),
         sacrificed_count=estimate.sacrificed,
         qber_estimate=estimate.qber,
         low_statistics=estimate.low_statistics,
@@ -293,6 +407,6 @@ def run_session(cfg: SessionConfig) -> tuple[SessionStats, list[RoundRecord]]:
         key_bits=key_bits,
         eve_mutual_information_estimate=eve_mi,
         elapsed_seconds=elapsed,
-        rounds_per_second=cfg.photons / elapsed if elapsed > 0 else float("inf"),
+        rounds_per_second=n / elapsed if elapsed > 0 else float("inf"),
     )
-    return stats, records
+    return stats, transcript

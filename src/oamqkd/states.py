@@ -2,7 +2,9 @@
 
 Pure states over the encoded subspace, the two protocol bases (the mode
 ladder B1 and its discrete-Fourier conjugate B2), general mutually unbiased
-basis families, and Born-rule measurement sampling.
+basis families, and Born-rule measurement sampling.  Probabilities and
+sampling work on rows: a ``(..., d)`` amplitude array is a batch of
+photons, and the single-state functions are batches of one.
 
 States are compared via |<a|b>| so global phases are unobservable by
 design.
@@ -27,11 +29,13 @@ __all__ = [
     "MubFamily",
     "make_b1_state",
     "make_b2_state",
+    "physical_orders",
     "fourier_unitary",
     "check_mub_family",
     "build_mub_family",
     "born_probabilities",
     "born_measure",
+    "sample_rows",
     "sample_index",
     "sample_counts",
 ]
@@ -98,7 +102,7 @@ class PureState:
 
     def physical_orders(self) -> np.ndarray:
         """Mode order N = 2n + l for each logical component n."""
-        return _physical_orders(self.d, self.oam_sector)
+        return physical_orders(self.d, self.oam_sector)
 
     def fidelity(self, other: "PureState") -> float:
         """|<self|other>|, the phase-insensitive overlap."""
@@ -117,7 +121,8 @@ def _trusted_state(amplitudes: np.ndarray, oam_sector: int, frame: Frame) -> Pur
 
 
 @lru_cache(maxsize=None)
-def _physical_orders(d: int, oam_sector: int) -> np.ndarray:
+def physical_orders(d: int, oam_sector: int) -> np.ndarray:
+    """Mode order N = 2n + l of logical component n in sector l."""
     orders = 2 * np.arange(d) + oam_sector
     orders.setflags(write=False)
     return orders
@@ -150,6 +155,14 @@ class Basis:
         adj = np.ascontiguousarray(self.matrix.conj().T)
         adj.setflags(write=False)
         return adj
+
+    def probabilities(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Born distribution |<basis_j|psi>|^2 of each amplitude row (..., d).
+
+        One stacked product of the adjoint with every row, which rounds
+        exactly as the single-vector product does.
+        """
+        return np.abs(np.matmul(self.adjoint, amplitudes[..., None])[..., 0]) ** 2
 
     def vector(self, k: int) -> np.ndarray:
         if not 0 <= k < self.d:
@@ -300,14 +313,24 @@ def born_probabilities(state: PureState, basis: Basis) -> np.ndarray:
     """Outcome distribution p_j = |<basis_j | state>|^2."""
     if basis.d != state.d:
         raise DimensionMismatch(f"state dimension {state.d} != basis dimension {basis.d}")
-    return np.abs(basis.adjoint @ state.amplitudes) ** 2
+    return basis.probabilities(state.amplitudes)
+
+
+def sample_rows(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Cumulative-probability inversion of one uniform per row.
+
+    Outcome j of a row is the count of cumulative probabilities <= u (what
+    ``searchsorted(u, side="right")`` returns), capped at d - 1 against
+    rounding in the last partial sum.
+    """
+    cum = np.asarray(probabilities).cumsum(axis=-1)
+    j = np.count_nonzero(cum <= np.asarray(u)[..., None], axis=-1)
+    return np.minimum(j, cum.shape[-1] - 1)
 
 
 def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one outcome by cumulative-probability inversion of a single uniform."""
-    cum = np.asarray(probabilities).cumsum()
-    j = int(cum.searchsorted(rng.random(), side="right"))
-    return min(j, cum.size - 1)
+    return int(sample_rows(probabilities, rng.random()))
 
 
 def sample_counts(probabilities: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:

@@ -232,6 +232,7 @@ def test_eve_preserves_sector_and_frame(rng):
     out, _ = eve_attack(st, EveStrategy(mub=mub), rng)
     assert out.oam_sector == 3
     assert out.frame is Frame.LG_SIDE
+    assert not out.amplitudes.flags.writeable
 
 
 def test_eve_dimension_mismatch(rng):
@@ -278,6 +279,7 @@ def test_channel_spec_applies_in_order(rng):
     assert guess is None
     expected = apply_gouy(apply_rotation(st, 0.3), 1.0, GEOM)
     np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-15)
+    assert not out.amplitudes.flags.writeable
 
 
 def test_channel_loss_short_circuits(rng):

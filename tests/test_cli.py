@@ -197,6 +197,8 @@ def test_config_error_exit_code(capsys):
         ["--wavenumber", "-1"],
         ["--dump-samples", "1"],
         ["--config", {"emission_rate": True}],
+        ["--config", {"out": None}],
+        ["--config", {"channel": "loss:0.1"}],
     ],
 )
 def test_bad_config_writes_nothing(tmp_path, capsys, args):

@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from oamqkd.channel import ChannelSpec, Eve, EveStrategy, Loss, RandomRotation, Rotation, TimeVaryingRotation
+from oamqkd import protocol
+from oamqkd.channel import (
+    ChannelSpec,
+    Eve,
+    EveStrategy,
+    FrequencyShift,
+    Gouy,
+    Loss,
+    RandomRotation,
+    Rotation,
+    TimeVaryingRotation,
+)
 from oamqkd.devices import DeviceConfig
 from oamqkd.exceptions import ConfigInvalid
+from oamqkd.modes import default_geometry
 from oamqkd.protocol import (
     QberEstimate,
-    RoundRecord,
     SessionConfig,
+    Transcript,
     estimate_qber,
     run_session,
     sift,
@@ -54,6 +66,22 @@ def test_config_validation():
         SessionConfig(d=4, photons=10, seed=1, device=DeviceConfig(d=8))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(bad):
+    # a NaN emission rate used to stamp t = nan on every round
+    with pytest.raises(ConfigInvalid, match="emission_rate"):
+        SessionConfig(d=4, photons=3, seed=0, emission_rate=bad)
+    with pytest.raises(ConfigInvalid, match="propagation_z"):
+        DeviceConfig(d=4, propagation_z=bad)
+    with pytest.raises(ConfigInvalid, match="detuning_epsilon"):
+        DeviceConfig(d=4, detuning_epsilon=bad)
+    with pytest.raises(ConfigInvalid, match="Gouy"):
+        Gouy(z=bad, geom=default_geometry())
+    for element in (Rotation, TimeVaryingRotation, FrequencyShift):
+        with pytest.raises(ConfigInvalid, match="must be finite"):
+            element(bad)
+
+
 def test_mub_count_beyond_two_needs_prime_dimension():
     with pytest.raises(ConfigInvalid):
         run_session(SessionConfig(d=4, photons=10, seed=1, num_mubs=3))
@@ -65,28 +93,33 @@ def test_mub_count_beyond_two_needs_prime_dimension():
 # ------------------------------------------------------------------- sifting
 
 
-def _record(i, ab, bb, delivered=True, sym=0, out=0):
-    return RoundRecord(
-        round_id=i,
-        t=0.0,
-        alice_basis=ab,
+def _transcript(alice_basis, bob_basis, delivered=None, sym=None, out=None):
+    """Hand-made transcript columns; by default every round is delivered
+    with symbol 0 and outcome 0, and undelivered rounds have outcome -1."""
+    n = len(alice_basis)
+    delivered = np.ones(n, dtype=bool) if delivered is None else np.asarray(delivered)
+    sym = np.zeros(n, dtype=int) if sym is None else np.asarray(sym)
+    out = np.zeros(n, dtype=int) if out is None else np.asarray(out)
+    return Transcript(
+        t=np.zeros(n),
+        alice_basis=np.asarray(alice_basis),
         alice_symbol=sym,
         delivered=delivered,
-        bob_basis=bb,
-        bob_outcome=out if delivered else None,
+        bob_basis=np.asarray(bob_basis),
+        bob_outcome=np.where(delivered, out, -1),
     )
 
 
 def test_sift_matching_bases():
-    records = [_record(0, 0, 0), _record(1, 1, 1), _record(2, 0, 0, delivered=False)]
+    records = _transcript([0, 1, 0], [0, 1, 0], delivered=[True, True, False])
     sift(records)
-    assert [r.sifted for r in records] == [True, True, False]
+    assert records.sifted.tolist() == [True, True, False]
 
 
 def test_sift_disjoint_bases():
-    records = [_record(i, 0, 1) for i in range(5)]
+    records = _transcript([0] * 5, [1] * 5)
     sift(records)
-    assert not any(r.sifted for r in records)
+    assert not records.sifted.any()
 
 
 def test_sift_expected_fraction():
@@ -99,14 +132,15 @@ def test_sift_expected_fraction():
 
 
 def test_estimate_qber_noiseless():
-    records = sift([_record(i, 0, 0, sym=i % 4, out=i % 4) for i in range(200)])
+    i = np.arange(200)
+    records = sift(_transcript([0] * 200, [0] * 200, sym=i % 4, out=i % 4))
     est = estimate_qber(records, 0.5, np.random.default_rng(0))
     assert est == QberEstimate(0.0, est.sacrificed, False)
     assert 0 < est.sacrificed < 200
 
 
 def test_estimate_qber_test_fraction_one_sacrifices_all():
-    records = sift([_record(i, 0, 0, sym=1, out=1) for i in range(50)])
+    records = sift(_transcript([0] * 50, [0] * 50, sym=[1] * 50, out=[1] * 50))
     est = estimate_qber(records, 1.0, np.random.default_rng(0))
     assert est.sacrificed == 50
     stats, _ = run_session(noiseless_config(photons=2000, test_fraction=0.999))
@@ -115,15 +149,14 @@ def test_estimate_qber_test_fraction_one_sacrifices_all():
 
 
 def test_estimate_qber_low_statistics_guard():
-    records = sift([_record(0, 0, 1)])  # nothing sifted
+    records = sift(_transcript([0], [1]))  # nothing sifted
     est = estimate_qber(records, 0.5, np.random.default_rng(0))
     assert est == QberEstimate(0.0, 0, True)
 
 
 def test_estimate_qber_counts_mismatches():
-    records = sift(
-        [_record(i, 0, 0, sym=0, out=0 if i % 2 else 1) for i in range(2000)]
-    )
+    i = np.arange(2000)
+    records = sift(_transcript([0] * 2000, [0] * 2000, out=np.where(i % 2, 0, 1)))
     est = estimate_qber(records, 0.9, np.random.default_rng(1))
     assert est.qber == pytest.approx(0.5, abs=0.05)
 
@@ -179,6 +212,41 @@ def test_static_rotation_invisible_in_nonzero_sector():
     )
     assert rotated[1] == plain[1]
     assert stats_without_wall_clock(rotated[0]) == stats_without_wall_clock(plain[0])
+
+
+def test_global_phase_elements_leave_transcripts_unchanged():
+    # detuning makes Bob's B2 outcomes random, so identical transcripts mean
+    # identical draws and identical probabilities
+    def session(*elements):
+        return run_session(
+            noiseless_config(
+                photons=4000,
+                oam_sector=2,
+                device=DeviceConfig(d=4, detuning_epsilon=0.3),
+                channel=ChannelSpec(elements),
+            )
+        )
+
+    plain_stats, plain = session()
+    assert plain_stats.qber_estimate > 0.0
+    for element in (Rotation(1.1), TimeVaryingRotation(4321.0), FrequencyShift(987.0)):
+        stats, records = session(element)
+        assert records == plain
+        assert stats_without_wall_clock(stats) == stats_without_wall_clock(plain_stats)
+    # one uniform drawn per photon and no probability changed, as Loss(0.0)
+    assert session(RandomRotation())[1] == session(Loss(0.0))[1]
+
+
+def test_round_substreams_match_default_rng():
+    # the engine seeds round i from uint32 words; they must give the stream
+    # of the tuple (seed, 0, i), also where seed or i needs two words
+    for seed in (0, 7, 2**32 + 5, 10**15):
+        for start in (0, 2**32 - 2):
+            entropy = protocol._round_entropy(seed, start, start + 4)
+            for i, words in zip(range(start, start + 4), entropy):
+                expected = np.random.default_rng((seed, 0, i)).random(3)
+                got = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words))).random(3)
+                assert got.tolist() == expected.tolist()
 
 
 def test_random_rotation_keeps_l0_error_free():
