@@ -4,7 +4,7 @@ The package is organized along the signal path:
 
 * :mod:`oamqkd.modes` — physical HG/LG beam modes and quadrature checks.
 * :mod:`oamqkd.states` — logical qudit states, MUB families, Born sampling.
-* :mod:`oamqkd.devices` — sorter cascade, MODAN + Fourier chain, converter.
+* :mod:`oamqkd.devices` — sorter cascade, MODAN + Fourier chain, preparation.
 * :mod:`oamqkd.channel` — rotations, Gouy dephasing, loss, eavesdropping.
 * :mod:`oamqkd.protocol` — the Monte-Carlo session engine.
 * :mod:`oamqkd.cli` — JSON-config experiment runner.
@@ -20,30 +20,14 @@ from .channel import (
     RandomRotation,
     Rotation,
     TimeVaryingRotation,
-    apply_channel,
-    apply_frequency_shift,
-    apply_gouy,
-    apply_loss,
-    apply_rotation,
-    apply_time_varying_rotation,
-    eve_attack,
 )
-from .devices import (
-    ConvertDirection,
-    DeviceConfig,
-    measure_b1,
-    measure_b2,
-    modal_convert,
-    prepare_b1,
-    prepare_b2,
-)
+from .devices import DeviceConfig, prepare_b1, prepare_b2
 from .exceptions import (
     ConfigInvalid,
     DimensionMismatch,
     GridTooCoarse,
     IndexOutOfRange,
     UnsupportedDimension,
-    WrongFrame,
 )
 from .modes import (
     BeamGeometry,
@@ -70,10 +54,8 @@ from .protocol import (
 )
 from .states import (
     Basis,
-    Frame,
     MubFamily,
     PureState,
-    born_measure,
     born_probabilities,
     build_mub_family,
     fourier_unitary,

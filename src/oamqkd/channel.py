@@ -11,9 +11,7 @@ amplitude array, in two steps: ``draw(rng)`` takes one photon's PRNG draws
 uniform for Eve, nothing for the others; ``absorbs(drawn)`` says whether
 they ended the photon, which only a Loss does), and ``apply(flight, draws)``
 acts on all rows at once, given those draws as columns.  Apart from the draws
-every application is pure.  The single-state functions (apply_rotation,
-apply_gouy, apply_loss, apply_frequency_shift, eve_attack, apply_channel)
-are batches of one.
+every application is pure.  A single photon is a Flight of one row.
 
 The encoding's headline property lives here: an l = 0 state is bitwise
 unchanged by any rotation of the transverse frame, and a fixed-l sector
@@ -31,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
-from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, WrongFrame, require_finite
+from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, require_finite
 from .modes import BeamGeometry, beam_params
-from .states import Frame, MubFamily, PureState, _trusted_state, physical_orders, sample_rows
+from .states import MubFamily, physical_orders, sample_rows
 
 __all__ = [
     "Flight",
@@ -49,17 +47,8 @@ __all__ = [
     "FrequencyShift",
     "Eve",
     "EveStrategy",
-    "EveGuess",
     "ChannelElement",
     "ChannelSpec",
-    "ChannelResult",
-    "apply_rotation",
-    "apply_time_varying_rotation",
-    "apply_gouy",
-    "apply_loss",
-    "apply_frequency_shift",
-    "eve_attack",
-    "apply_channel",
 ]
 
 
@@ -244,8 +233,7 @@ class Eve:
 
     Draws one uniform basis when the strategy is random (none when fixed),
     then one uniform for the measurement.  The forwarded photon keeps its
-    frame and OAM sector; the guess is recorded for information-leak
-    accounting.
+    OAM sector; the guess is recorded for information-leak accounting.
     """
 
     strategy: EveStrategy
@@ -324,105 +312,3 @@ class ChannelSpec:
         for el in self.elements:
             el.apply(flight, draws[:, col : col + el.width])
             col += el.width
-
-
-class EveGuess(NamedTuple):
-    """What the eavesdropper learned from one photon."""
-
-    basis: int
-    outcome: int
-
-
-class ChannelResult(NamedTuple):
-    """Photon after the channel (None when absorbed) plus Eve's log."""
-
-    state: PureState | None
-    eve_guess: EveGuess | None
-
-
-def _flight_of(state: PureState, t: float = 0.0) -> Flight:
-    return Flight(state.amplitudes[None].copy(), np.array([t]), state.oam_sector)
-
-
-def _rephased(state: PureState, element: _PhaseMap, t: float = 0.0) -> PureState:
-    """Batch-of-one phase map; ``state`` itself when the element is the identity."""
-    factors = element.factors(_flight_of(state, t), np.empty((1, 0)))
-    return state if factors is None else state.rephased(np.ravel(factors))
-
-
-def _require_flight_frame(state: PureState) -> None:
-    if state.frame is not Frame.LG_SIDE:
-        raise WrongFrame("channel elements act on the LG-side (in-flight) state")
-
-
-def apply_rotation(state: PureState, angle: float) -> PureState:
-    """Rotate the transverse frame by ``angle`` about the propagation axis.
-
-    The l = 0 encoding is returned bitwise unchanged; a fixed-l sector picks
-    up the global phase e^{i l angle} on every amplitude, so any
-    superposition within the sector is unchanged observationally.
-    """
-    _require_flight_frame(state)
-    return _rephased(state, Rotation(angle))
-
-
-def apply_time_varying_rotation(state: PureState, omega: float, t: float) -> PureState:
-    """Rotation by the frame angle omega * t at the photon's emission time."""
-    _require_flight_frame(state)
-    return _rephased(state, TimeVaryingRotation(omega), t)
-
-
-def apply_gouy(state: PureState, z: float, geom: BeamGeometry) -> PureState:
-    """Dephase logical components by their mode order over distance z."""
-    return _rephased(state, Gouy(z, geom))
-
-
-def apply_loss(
-    state: PureState, probability: float, rng: np.random.Generator
-) -> PureState | None:
-    """Absorb the photon with the given probability; one PRNG draw.
-
-    Returns the delivered state, or None when the photon is lost.
-    """
-    loss = Loss(probability)
-    return None if loss.absorbs(loss.draw(rng)) else state
-
-
-def apply_frequency_shift(state: PureState, omega: float, t: float) -> PureState:
-    """Rotation-induced frequency shift: global phase e^{i l omega t}."""
-    return _rephased(state, FrequencyShift(omega), t)
-
-
-def _one_photon(spec: ChannelSpec, state: PureState, t: float, rng: np.random.Generator) -> ChannelResult:
-    """Batch-of-one ChannelSpec: draw, apply, and read the row back."""
-    flight = _flight_of(state, t)
-    draws, _ = spec.draw(rng)
-    spec.apply(flight, np.array([draws], dtype=float))
-    guess = None
-    if flight.eve_basis[0] >= 0:
-        guess = EveGuess(int(flight.eve_basis[0]), int(flight.eve_outcome[0]))
-    if not flight.delivered[0]:
-        return ChannelResult(None, guess)
-    amplitudes = flight.amplitudes[0]
-    amplitudes.setflags(write=False)
-    return ChannelResult(_trusted_state(amplitudes, state.oam_sector, state.frame), guess)
-
-
-def apply_channel(
-    spec: ChannelSpec, state: PureState, t: float, rng: np.random.Generator
-) -> ChannelResult:
-    """Apply every element in order to one in-flight photon emitted at time t.
-
-    Stops drawing at the first absorption.  When several Eve elements are
-    present the last guess is reported.
-    """
-    _require_flight_frame(state)
-    return _one_photon(spec, state, t, rng)
-
-
-def eve_attack(
-    state: PureState, strategy: EveStrategy, rng: np.random.Generator
-) -> tuple[PureState, EveGuess]:
-    """Batch-of-one intercept-resend (see Eve): the forwarded state and the guess."""
-    resent, guess = _one_photon(ChannelSpec((Eve(strategy),)), state, 0.0, rng)
-    return resent, guess

@@ -12,7 +12,9 @@ Config keys (all optional, one-to-one with the flags):
     d                 4       logical dimension (2, 4, 8, ...)
     photons           1000    rounds per session
     seed              0       master PRNG seed (non-negative int)
-    mubs              2       number of bases used by Alice and Bob
+    mubs              2       number of bases used by Alice and Bob (more
+                              than 2 only at d = 2: the devices need d = 2^s,
+                              extra bases need prime d)
     oam               0       common OAM offset l of the encoding
     channel           []      element specs, applied in order (see below)
     eve               null    "random" or "fixed:IDX"; appended after channel
@@ -32,7 +34,8 @@ Config keys (all optional, one-to-one with the flags):
 Each key is a flag spelled with dashes (--test-fraction 0.2); true/false
 keys also take --no-KEY.  --channel repeats, and repeated flags replace the
 file's channel list.  Each dump_modes entry is a --dump-mode FAMILY,N,M flag
-whose plane z is set by the --z flag of the same position (default 0).
+whose plane z is set by the --z flag of the same position (default 0); a
+--z flag without a --dump-mode flag at its position is a config error.
 
 Channel element grammar (used in config lists and repeated --channel flags):
 
@@ -201,6 +204,16 @@ def _build_element(spec: str, cfg: RunConfig):
     )
 
 
+def _mode_index(value) -> int:
+    """A mode index from an int or its decimal text (as --dump-mode gives it).
+
+    Booleans and fractional numbers are rejected rather than truncated.
+    """
+    if isinstance(value, bool) or (not isinstance(value, str) and int(value) != value):
+        raise ValueError(f"mode index must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_dump_entry(entry, z=None) -> tuple[ModeLabel, float]:
     """One dump_modes entry; ``z``, when given, replaces the entry's plane."""
     if isinstance(entry, str):
@@ -214,11 +227,11 @@ def _parse_dump_entry(entry, z=None) -> tuple[ModeLabel, float]:
     family_name, n, m, entry_z = parts
     try:
         family = ModeFamily(str(family_name).upper())
-        label = ModeLabel(family, int(n), int(m))
+        label = ModeLabel(family, _mode_index(n), _mode_index(m))
         plane = _number(entry_z if z is None else z)
         require_finite("dump plane z", plane)
         return label, plane
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"dump_modes entry {entry!r}: {exc}") from exc
 
 
@@ -310,11 +323,16 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             values[key] = _coerce(key, flag_value)
 
     dump_modes = [_parse_dump_entry(e) for e in values.pop("dump_modes", [])]
-    if args.dump_modes:
-        zs = args.dump_z or []
+    dump_flags, zs = args.dump_modes or [], args.dump_z or []
+    if len(zs) > len(dump_flags):
+        raise ConfigInvalid(
+            f"{len(zs)} --z flags for {len(dump_flags)} --dump-mode flags; "
+            "each --z sets the plane of the --dump-mode at its position"
+        )
+    if dump_flags:
         dump_modes = [
             _parse_dump_entry(spec, zs[idx] if idx < len(zs) else None)
-            for idx, spec in enumerate(args.dump_modes)
+            for idx, spec in enumerate(dump_flags)
         ]
 
     cfg = RunConfig(**values, dump_modes=dump_modes)

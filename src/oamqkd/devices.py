@@ -10,55 +10,38 @@
   Fourier transform across paths, and a detector per output port.
 * Preparation: B1 states come from a single-photon source plus a MODAN;
   B2 states from running the (ideal) B2 measurement chain backwards.
-* The modal converter (cylindrical-lens pair) maps mode (n, m) between the
-  HG and LG families index-wise, so amplitudes are untouched and only the
-  frame tag flips.
+
+The modal converters (cylindrical-lens pairs) between the HG-side devices
+and the LG-side channel map mode (n, m) between the two families index-wise,
+so they act as the identity on logical amplitudes and are not modeled.
 
 Devices are immutable after construction.  The measurement chains act on
-rows: ``measure_b1_rows``/``measure_b2_rows`` take a ``(n, d)`` HG-side
-amplitude array and one uniform per row (cumulative-probability inversion);
-``measure_b1``/``measure_b2`` are the batch-of-one forms and consume exactly
-one PRNG draw each.
+rows: ``measure_b1_rows``/``measure_b2_rows`` take a ``(n, d)`` amplitude
+array and one uniform per row (cumulative-probability inversion).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exceptions import (
-    ConfigInvalid,
-    DimensionMismatch,
-    IndexOutOfRange,
-    WrongFrame,
-    require_finite,
-)
+from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, require_finite
 from .modes import BeamGeometry, beam_params, default_geometry
-from .states import Frame, PureState, fourier_unitary, make_b1_state, sample_rows
+from .states import PureState, fourier_unitary, make_b1_state, sample_rows
 
 __all__ = [
-    "ConvertDirection",
     "DeviceConfig",
-    "modal_convert",
     "sorter_cascade",
     "sorter_leaf_modes",
     "b1_probabilities",
     "b2_probabilities",
-    "measure_b1",
-    "measure_b2",
     "measure_b1_rows",
     "measure_b2_rows",
     "prepare_b1",
     "prepare_b2",
 ]
-
-
-class ConvertDirection(enum.Enum):
-    HG_TO_LG = "HGtoLG"
-    LG_TO_HG = "LGtoHG"
 
 
 @dataclass(frozen=True)
@@ -112,23 +95,6 @@ class DeviceConfig:
         return np.exp(1j * phases) if phases.any() else None
 
 
-def modal_convert(state: PureState, direction: ConvertDirection) -> PureState:
-    """Cylindrical-lens converter: flip the frame tag, amplitudes untouched.
-
-    A round trip is the identity.
-    """
-    if direction is ConvertDirection.HG_TO_LG:
-        expected, target = Frame.HG_SIDE, Frame.LG_SIDE
-    else:
-        expected, target = Frame.LG_SIDE, Frame.HG_SIDE
-    if state.frame is not expected:
-        raise WrongFrame(
-            f"{direction.value} converter expects a {expected.value}-side state, "
-            f"got {state.frame.value}-side"
-        )
-    return state.with_frame(target)
-
-
 @lru_cache(maxsize=None)
 def sorter_cascade(d: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...], ...]:
     """Stage-by-stage routing of the binary SMI cascade for dimension d.
@@ -173,16 +139,14 @@ def sorter_leaf_modes(d: int) -> np.ndarray:
     return out
 
 
-def _check_measurable(state: PureState, cfg: DeviceConfig) -> None:
-    if state.frame is not Frame.HG_SIDE:
-        raise WrongFrame("measurement chains act on HG-side states; convert first")
-    if state.d != cfg.d:
-        raise DimensionMismatch(f"state dimension {state.d} != device dimension {cfg.d}")
+def _check_dimension(d: int, cfg: DeviceConfig) -> None:
+    if d != cfg.d:
+        raise DimensionMismatch(f"state dimension {d} != device dimension {cfg.d}")
 
 
 def b1_probabilities(state: PureState, cfg: DeviceConfig) -> np.ndarray:
     """Detector-port distribution of the SMI cascade, in port (= mode) order."""
-    _check_measurable(state, cfg)
+    _check_dimension(state.d, cfg)
     return np.abs(state.amplitudes) ** 2
 
 
@@ -193,15 +157,10 @@ def measure_b1_rows(amplitudes: np.ndarray, cfg: DeviceConfig, u: np.ndarray) ->
     projective B1 measurement.  The cumulative inversion runs over the
     ports in arm order, one uniform per row.
     """
+    _check_dimension(amplitudes.shape[-1], cfg)
     leaf_modes = sorter_leaf_modes(cfg.d)
     leaf_probs = np.abs(amplitudes[..., leaf_modes]) ** 2
     return leaf_modes[sample_rows(leaf_probs, u)]
-
-
-def measure_b1(state: PureState, cfg: DeviceConfig, rng: np.random.Generator) -> int:
-    """Batch-of-one ``measure_b1_rows``; one PRNG draw."""
-    _check_measurable(state, cfg)
-    return int(measure_b1_rows(state.amplitudes, cfg, rng.random()))
 
 
 def _b2_distribution(amplitudes: np.ndarray, cfg: DeviceConfig) -> np.ndarray:
@@ -221,23 +180,18 @@ def _b2_distribution(amplitudes: np.ndarray, cfg: DeviceConfig) -> np.ndarray:
 
 def b2_probabilities(state: PureState, cfg: DeviceConfig) -> np.ndarray:
     """Outcome distribution of the sorter + MODAN + inverse-Fourier chain."""
-    _check_measurable(state, cfg)
+    _check_dimension(state.d, cfg)
     return _b2_distribution(state.amplitudes, cfg)
 
 
 def measure_b2_rows(amplitudes: np.ndarray, cfg: DeviceConfig, u: np.ndarray) -> np.ndarray:
     """Projective B2 measurement of each row via mode erasure and path interference."""
+    _check_dimension(amplitudes.shape[-1], cfg)
     return sample_rows(_b2_distribution(amplitudes, cfg), u)
 
 
-def measure_b2(state: PureState, cfg: DeviceConfig, rng: np.random.Generator) -> int:
-    """Batch-of-one ``measure_b2_rows``; one PRNG draw."""
-    _check_measurable(state, cfg)
-    return int(measure_b2_rows(state.amplitudes, cfg, rng.random()))
-
-
 def prepare_b1(d: int, k: int, cfg: DeviceConfig, oam_sector: int = 0) -> PureState:
-    """Source photon reshaped by a MODAN into ladder state |k>, HG side."""
+    """Source photon reshaped by a MODAN into ladder state |k>."""
     if cfg.d != d:
         raise DimensionMismatch(f"requested dimension {d} != device dimension {cfg.d}")
     if not 0 <= k < d:
@@ -261,4 +215,4 @@ def prepare_b2(d: int, k: int, cfg: DeviceConfig, oam_sector: int = 0) -> PureSt
     port = np.zeros(d, dtype=complex)
     port[k] = 1.0
     amps = fourier_unitary(d).matrix @ port
-    return PureState(amps, oam_sector=oam_sector, frame=Frame.HG_SIDE)
+    return PureState(amps, oam_sector=oam_sector)

@@ -24,10 +24,6 @@ class UnsupportedDimension(ValueError):
     """Requested construction is not available in this dimension."""
 
 
-class WrongFrame(ValueError):
-    """State is tagged with the wrong physical frame for this operation."""
-
-
 class ConfigInvalid(ValueError):
     """Configuration cannot be parsed or violates an invariant.
 

@@ -1,12 +1,12 @@
 """Monte-Carlo session engine for the d-dimensional BB84 protocol.
 
-One session: Alice draws a basis and symbol per photon, prepares it with
-the device models, runs it through the modal converter, the channel acts in
-flight, Bob converts back and measures in his own random basis.  Public
-sifting keeps matching-basis delivered rounds, a Bernoulli subsample of the
-sifted rounds is sacrificed to estimate the symbol error rate, and the
-session aborts when that estimate exceeds the configured threshold or when
-no round was sacrificed, so that no estimate exists.
+One session: Alice draws a basis and symbol per photon and prepares it with
+the device models, the channel acts in flight, and Bob measures in his own
+random basis.  Public sifting keeps matching-basis delivered rounds, a
+Bernoulli subsample of the sifted rounds is sacrificed to estimate the
+symbol error rate, and the session aborts when that estimate exceeds the
+configured threshold or when no round was sacrificed, so that no estimate
+exists.
 
 Determinism: round i consumes only the PRNG substream seeded by
 (seed, 0, i) — in order: Alice basis, Alice symbol, the channel draws
@@ -40,17 +40,9 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .channel import ChannelSpec, Flight
-from .devices import (
-    ConvertDirection,
-    DeviceConfig,
-    measure_b1_rows,
-    measure_b2_rows,
-    modal_convert,
-    prepare_b1,
-    prepare_b2,
-)
+from .devices import DeviceConfig, measure_b1_rows, measure_b2_rows, prepare_b1, prepare_b2
 from .exceptions import ConfigInvalid, require_finite
-from .states import Frame, MubFamily, build_mub_family, check_mub_family, sample_rows
+from .states import MubFamily, build_mub_family, check_mub_family, sample_rows
 
 __all__ = [
     "RoundRecord",
@@ -166,7 +158,13 @@ class SessionConfig:
         try:
             check_mub_family(self.d, self.num_mubs)
         except ValueError as exc:
-            raise ConfigInvalid(f"num_mubs = {self.num_mubs}: {exc}") from exc
+            limit = (
+                "; the devices need d = 2^s and extra bases need prime d, so a session "
+                "with more than 2 bases runs only at d = 2"
+                if self.num_mubs > 2
+                else ""
+            )
+            raise ConfigInvalid(f"num_mubs = {self.num_mubs}: {exc}{limit}") from exc
 
 
 @dataclass
@@ -229,22 +227,24 @@ def estimate_qber(
 
 
 def _prepared_flight_states(cfg: SessionConfig, mub: MubFamily) -> np.ndarray:
-    """LG-side amplitudes sent for every (basis, symbol); preparation is pure.
+    """Amplitudes sent for every (basis, symbol); preparation is pure.
 
     Bases 0 and 1 go through the device models (MODAN source, reversed B2
     chain); any further MUB bases have no hardware model and are prepared at
-    the logical level.  Row [b, k] is the state of symbol k in basis b.
+    the logical level.  Row [b, k] is the state of symbol k in basis b.  The
+    modal converter keeps the logical amplitudes, so these are also the
+    in-flight amplitudes.
     """
     states = np.empty((cfg.num_mubs, cfg.d, cfg.d), dtype=complex)
     for b in range(cfg.num_mubs):
         for k in range(cfg.d):
             if b == 0:
-                hg = prepare_b1(cfg.d, k, cfg.device, oam_sector=cfg.oam_sector)
+                state = prepare_b1(cfg.d, k, cfg.device, oam_sector=cfg.oam_sector)
             elif b == 1:
-                hg = prepare_b2(cfg.d, k, cfg.device, oam_sector=cfg.oam_sector)
+                state = prepare_b2(cfg.d, k, cfg.device, oam_sector=cfg.oam_sector)
             else:
-                hg = mub[b].state(k, oam_sector=cfg.oam_sector, frame=Frame.HG_SIDE)
-            states[b, k] = modal_convert(hg, ConvertDirection.HG_TO_LG).amplitudes
+                state = mub[b].state(k, oam_sector=cfg.oam_sector)
+            states[b, k] = state.amplitudes
     return states
 
 
@@ -317,8 +317,8 @@ def _play_rounds(
     """Phase 2: the physics of a chunk of rounds given their draws.
 
     Returns the flight after the channel and Bob's outcome per round (-1
-    where the photon was absorbed).  The converters leave amplitudes
-    untouched, so Bob measures the flight rows as they arrive.
+    where the photon was absorbed).  Bob measures the flight rows as they
+    arrive.
     """
     alice_basis = draws[:, 0].astype(np.intp)
     alice_symbol = draws[:, 1].astype(np.intp)

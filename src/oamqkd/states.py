@@ -4,7 +4,7 @@ Pure states over the encoded subspace, the two protocol bases (the mode
 ladder B1 and its discrete-Fourier conjugate B2), general mutually unbiased
 basis families, and Born-rule measurement sampling.  Probabilities and
 sampling work on rows: a ``(..., d)`` amplitude array is a batch of
-photons, and the single-state functions are batches of one.
+photons, and ``sample_rows`` turns one uniform per row into an outcome.
 
 States are compared via |<a|b>| so global phases are unobservable by
 design.
@@ -12,7 +12,6 @@ design.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -20,10 +19,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exceptions import DimensionMismatch, IndexOutOfRange, UnsupportedDimension
-from .modes import ModeFamily, ModeLabel
 
 __all__ = [
-    "Frame",
     "PureState",
     "Basis",
     "MubFamily",
@@ -34,9 +31,7 @@ __all__ = [
     "check_mub_family",
     "build_mub_family",
     "born_probabilities",
-    "born_measure",
     "sample_rows",
-    "sample_index",
     "sample_counts",
 ]
 
@@ -45,25 +40,19 @@ ORTHO_TOL = 1e-12
 UNBIASED_TOL = 1e-10
 
 
-class Frame(enum.Enum):
-    """Which side of the modal converter the state currently lives on."""
-
-    HG_SIDE = "HG"
-    LG_SIDE = "LG"
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over the d-dimensional logical subspace.
 
     ``oam_sector`` is the common OAM offset l of the encoding: logical index
-    n occupies the physical mode with indices (n + l, n) in the family named
-    by ``frame``.  Instances are immutable; operations return new states.
+    n occupies the physical mode with indices (n + l, n), an HG mode before
+    the modal converter and an LG mode after it.  The converter maps the
+    indices one to one, so the amplitudes are the same on both sides.
+    Instances are immutable.
     """
 
     amplitudes: np.ndarray
     oam_sector: int = 0
-    frame: Frame = Frame.HG_SIDE
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
@@ -79,27 +68,6 @@ class PureState:
     def d(self) -> int:
         return self.amplitudes.size
 
-    def with_frame(self, frame: Frame) -> "PureState":
-        # the amplitude vector is untouched, so normalization needs no re-check
-        return _trusted_state(self.amplitudes, self.oam_sector, frame)
-
-    def rephased(self, factors: np.ndarray) -> "PureState":
-        """New state with amplitudes multiplied by unit-modulus ``factors``.
-
-        The factors must all have |factor| = 1 (phase-only maps), which
-        preserves normalization, so the constructor check is skipped.
-        """
-        amps = self.amplitudes * factors
-        amps.setflags(write=False)
-        return _trusted_state(amps, self.oam_sector, self.frame)
-
-    def physical_mode(self, index: int) -> ModeLabel:
-        """Spatial mode carrying logical index ``index`` in the current frame."""
-        if not 0 <= index < self.d:
-            raise IndexOutOfRange(f"logical index {index} outside 0..{self.d - 1}")
-        family = ModeFamily.HG if self.frame is Frame.HG_SIDE else ModeFamily.LG
-        return ModeLabel(family, index + self.oam_sector, index)
-
     def physical_orders(self) -> np.ndarray:
         """Mode order N = 2n + l for each logical component n."""
         return physical_orders(self.d, self.oam_sector)
@@ -111,12 +79,11 @@ class PureState:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
 
 
-def _trusted_state(amplitudes: np.ndarray, oam_sector: int, frame: Frame) -> PureState:
+def _trusted_state(amplitudes: np.ndarray, oam_sector: int) -> PureState:
     """Build a PureState without re-validating already-normalized amplitudes."""
     state = object.__new__(PureState)
     object.__setattr__(state, "amplitudes", amplitudes)
     object.__setattr__(state, "oam_sector", oam_sector)
-    object.__setattr__(state, "frame", frame)
     return state
 
 
@@ -169,9 +136,9 @@ class Basis:
             raise IndexOutOfRange(f"basis index {k} outside 0..{self.d - 1}")
         return self.matrix[:, k]
 
-    def state(self, k: int, oam_sector: int = 0, frame: Frame = Frame.HG_SIDE) -> PureState:
+    def state(self, k: int, oam_sector: int = 0) -> PureState:
         # columns were verified orthonormal at construction
-        return _trusted_state(self.vector(k), oam_sector, frame)
+        return _trusted_state(self.vector(k), oam_sector)
 
 
 @dataclass(frozen=True)
@@ -222,7 +189,7 @@ def make_b1_state(d: int, k: int, oam_sector: int = 0) -> PureState:
         raise IndexOutOfRange(f"symbol {k} outside 0..{d - 1}")
     amps = np.zeros(d, dtype=complex)
     amps[k] = 1.0
-    return PureState(amps, oam_sector=oam_sector, frame=Frame.HG_SIDE)
+    return PureState(amps, oam_sector=oam_sector)
 
 
 def make_b2_state(d: int, k: int, oam_sector: int = 0) -> PureState:
@@ -231,7 +198,7 @@ def make_b2_state(d: int, k: int, oam_sector: int = 0) -> PureState:
         raise IndexOutOfRange(f"symbol {k} outside 0..{d - 1}")
     n = np.arange(d)
     amps = np.exp(2j * math.pi * ((k * n) % d) / d) / math.sqrt(d)
-    return PureState(amps, oam_sector=oam_sector, frame=Frame.HG_SIDE)
+    return PureState(amps, oam_sector=oam_sector)
 
 
 @lru_cache(maxsize=None)
@@ -328,24 +295,7 @@ def sample_rows(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(j, cum.shape[-1] - 1)
 
 
-def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one outcome by cumulative-probability inversion of a single uniform."""
-    return int(sample_rows(probabilities, rng.random()))
-
-
 def sample_counts(probabilities: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
-    """Outcome counts over ``shots`` draws; same inversion rule as sample_index.
-
-    One uniform per shot, vectorized.
-    """
-    cum = np.asarray(probabilities).cumsum()
-    js = np.minimum(cum.searchsorted(rng.random(shots), side="right"), cum.size - 1)
-    return np.bincount(js, minlength=cum.size)
-
-
-def born_measure(state: PureState, basis: Basis, rng: np.random.Generator) -> int:
-    """Projective measurement: outcome j with probability |<basis_j|state>|^2.
-
-    Consumes exactly one PRNG draw.
-    """
-    return sample_index(born_probabilities(state, basis), rng)
+    """Outcome counts over ``shots`` draws of ``sample_rows``, one uniform each."""
+    probabilities = np.asarray(probabilities)
+    return np.bincount(sample_rows(probabilities, rng.random(shots)), minlength=probabilities.shape[-1])

@@ -199,6 +199,10 @@ def test_config_error_exit_code(capsys):
         ["--config", {"emission_rate": True}],
         ["--config", {"out": None}],
         ["--config", {"channel": "loss:0.1"}],
+        ["--config", {"photons": 1, "dump_modes": [["LG", 1.5, True, 0]]}],
+        ["--config", {"photons": 1, "dump_modes": [["LG", 1, True, 0]]}],
+        ["--dump-mode", "LG,1,1", "--z", "0.5", "--z", "0.7"],
+        ["--z", "0.5"],
     ],
 )
 def test_bad_config_writes_nothing(tmp_path, capsys, args):

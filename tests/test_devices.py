@@ -4,25 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_counts_match
-from oamqkd.channel import apply_gouy
+from conftest import assert_counts_match, through
+from oamqkd.channel import Gouy
 from oamqkd.devices import (
-    ConvertDirection,
     DeviceConfig,
     b1_probabilities,
     b2_probabilities,
-    measure_b1,
-    measure_b2,
-    modal_convert,
+    measure_b1_rows,
+    measure_b2_rows,
     prepare_b1,
     prepare_b2,
     sorter_cascade,
     sorter_leaf_modes,
 )
-from oamqkd.exceptions import DimensionMismatch, IndexOutOfRange, WrongFrame
+from oamqkd.exceptions import DimensionMismatch, IndexOutOfRange
 from oamqkd.modes import default_geometry
 from oamqkd.states import (
-    Frame,
     PureState,
     born_probabilities,
     build_mub_family,
@@ -34,42 +31,14 @@ from oamqkd.states import (
 GEOM = default_geometry()
 
 
-def random_state(d, rng, frame=Frame.HG_SIDE):
+def random_state(d, rng):
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(amps / np.linalg.norm(amps), frame=frame)
+    return PureState(amps / np.linalg.norm(amps))
 
 
-# ------------------------------------------------------------ modal converter
-
-
-def test_modal_convert_flips_frame_keeps_amplitudes():
-    st = make_b1_state(4, 2)
-    lg = modal_convert(st, ConvertDirection.HG_TO_LG)
-    assert lg.frame is Frame.LG_SIDE
-    np.testing.assert_array_equal(lg.amplitudes, st.amplitudes)
-
-
-def test_modal_convert_round_trip_is_identity(rng):
-    st = random_state(8, rng)
-    back = modal_convert(modal_convert(st, ConvertDirection.HG_TO_LG), ConvertDirection.LG_TO_HG)
-    assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
-    assert back.frame is Frame.HG_SIDE
-
-
-def test_modal_convert_preserves_b2_phases():
-    st = make_b2_state(4, 3)
-    lg = modal_convert(st, ConvertDirection.HG_TO_LG)
-    np.testing.assert_allclose(
-        lg.amplitudes, np.exp(2j * math.pi * 3 * np.arange(4) / 4) / 2.0, atol=1e-15
-    )
-
-
-def test_modal_convert_wrong_frame():
-    st = make_b1_state(4, 0)  # HG side
-    with pytest.raises(WrongFrame):
-        modal_convert(st, ConvertDirection.LG_TO_HG)
-    with pytest.raises(WrongFrame):
-        modal_convert(modal_convert(st, ConvertDirection.HG_TO_LG), ConvertDirection.HG_TO_LG)
+def shots(measure, state, cfg, rng, n):
+    """Outcomes of ``n`` photons in ``state``, measured as one batch."""
+    return measure(np.tile(state.amplitudes, (n, 1)), cfg, rng.random(n))
 
 
 # ------------------------------------------------------------- sorter cascade
@@ -118,17 +87,13 @@ def test_device_config_validation():
 def test_measure_b1_sorts_every_ladder_state(rng):
     cfg = DeviceConfig(d=4)
     for k in range(4):
-        st = make_b1_state(4, k)
-        assert all(measure_b1(st, cfg, rng) == k for _ in range(50))
+        assert np.all(shots(measure_b1_rows, make_b1_state(4, k), cfg, rng, 50) == k)
 
 
 def test_measure_b1_uniform_on_b2_states(rng):
     d = 8
     cfg = DeviceConfig(d=d)
-    counts = np.zeros(d, dtype=int)
-    st = make_b2_state(d, 5)
-    for _ in range(40_000):
-        counts[measure_b1(st, cfg, rng)] += 1
+    counts = np.bincount(shots(measure_b1_rows, make_b2_state(d, 5), cfg, rng, 40_000), minlength=d)
     assert_counts_match(counts, np.full(d, 1.0 / d))
 
 
@@ -140,18 +105,18 @@ def test_measure_b1_matches_born_oracle(rng):
         st = random_state(d, rng)
         born = born_probabilities(st, fam[0])
         np.testing.assert_allclose(b1_probabilities(st, cfg), born, atol=1e-12)
-        counts = np.zeros(d, dtype=int)
-        for _ in range(20_000):
-            counts[measure_b1(st, cfg, rng)] += 1
+        counts = np.bincount(shots(measure_b1_rows, st, cfg, rng, 20_000), minlength=d)
         assert_counts_match(counts, born)
 
 
 def test_measure_b1_frame_and_dimension_checks(rng):
     cfg = DeviceConfig(d=4)
-    with pytest.raises(WrongFrame):
-        measure_b1(make_b1_state(4, 0).with_frame(Frame.LG_SIDE), cfg, rng)
     with pytest.raises(DimensionMismatch):
-        measure_b1(make_b1_state(8, 0), cfg, rng)
+        shots(measure_b1_rows, make_b1_state(8, 0), cfg, rng, 1)
+    with pytest.raises(DimensionMismatch):
+        shots(measure_b2_rows, make_b1_state(8, 0), cfg, rng, 1)
+    with pytest.raises(DimensionMismatch):
+        b1_probabilities(make_b1_state(8, 0), cfg)
 
 
 # ------------------------------------------------------------- B2 measurement
@@ -160,17 +125,13 @@ def test_measure_b1_frame_and_dimension_checks(rng):
 def test_measure_b2_deterministic_on_b2_states(rng):
     cfg = DeviceConfig(d=4)
     for k in range(4):
-        st = make_b2_state(4, k)
-        assert all(measure_b2(st, cfg, rng) == k for _ in range(50))
+        assert np.all(shots(measure_b2_rows, make_b2_state(4, k), cfg, rng, 50) == k)
 
 
 def test_measure_b2_uniform_on_b1_states(rng):
     d = 4
     cfg = DeviceConfig(d=d)
-    counts = np.zeros(d, dtype=int)
-    st = make_b1_state(d, 2)
-    for _ in range(40_000):
-        counts[measure_b2(st, cfg, rng)] += 1
+    counts = np.bincount(shots(measure_b2_rows, make_b1_state(d, 2), cfg, rng, 40_000), minlength=d)
     assert_counts_match(counts, np.full(d, 1.0 / d))
 
 
@@ -202,7 +163,7 @@ def test_far_field_gouy_shifts_b2_outcome_by_half_d(rng):
         z = 1e6 * geom.rayleigh_range
         cfg = DeviceConfig(d=d, geom=geom)
         for k in range(d):
-            st = apply_gouy(make_b2_state(d, k), z, geom)
+            st = through(Gouy(z, geom), make_b2_state(d, k))
             probs = b2_probabilities(st, cfg)
             expected = (k + d // 2) % d
             assert probs[expected] == pytest.approx(1.0, abs=1e-9)
@@ -212,7 +173,7 @@ def test_far_field_gouy_shifts_b2_outcome_by_half_d(rng):
                 make_b2_state(d, k).amplitudes, lambda n: -(2 * n + 1) * psi
             )
             np.testing.assert_allclose(probs, oracle, atol=1e-12)
-            assert all(measure_b2(st, cfg, rng) == expected for _ in range(20))
+            assert np.all(shots(measure_b2_rows, st, cfg, rng, 20) == expected)
 
 
 def test_gouy_compensation_restores_b2_outcome(rng):
@@ -220,8 +181,8 @@ def test_gouy_compensation_restores_b2_outcome(rng):
     z = 3.7 * GEOM.rayleigh_range
     cfg = DeviceConfig(d=d, geom=GEOM, compensate_gouy=True, propagation_z=z)
     for k in range(d):
-        st = apply_gouy(make_b2_state(d, k), z, GEOM)
-        assert measure_b2(st, cfg, rng) == k
+        st = through(Gouy(z, GEOM), make_b2_state(d, k))
+        assert shots(measure_b2_rows, st, cfg, rng, 1)[0] == k
         assert b2_probabilities(st, cfg)[k] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -231,7 +192,7 @@ def test_intermediate_gouy_matches_oracle():
     psi = math.atan2(z, GEOM.rayleigh_range)
     cfg = DeviceConfig(d=d, geom=GEOM)
     for k in range(d):
-        st = apply_gouy(make_b2_state(d, k), z, GEOM)
+        st = through(Gouy(z, GEOM), make_b2_state(d, k))
         oracle = oracle_b2_distribution(
             make_b2_state(d, k).amplitudes, lambda n: -(2 * n + 1) * psi
         )
@@ -281,15 +242,15 @@ def test_prepare_b2_equals_logical_state(d):
     for k in range(d):
         st = prepare_b2(d, k, cfg)
         assert st.fidelity(make_b2_state(d, k)) == pytest.approx(1.0, abs=1e-12)
-        assert st.frame is Frame.HG_SIDE
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_prepare_then_measure_round_trip(d, rng):
     cfg = DeviceConfig(d=d)
-    for k in range(d):
-        assert measure_b2(prepare_b2(d, k, cfg), cfg, rng) == k
-        assert measure_b1(prepare_b1(d, k, cfg), cfg, rng) == k
+    b2_states = np.array([prepare_b2(d, k, cfg).amplitudes for k in range(d)])
+    b1_states = np.array([prepare_b1(d, k, cfg).amplitudes for k in range(d)])
+    np.testing.assert_array_equal(measure_b2_rows(b2_states, cfg, rng.random(d)), np.arange(d))
+    np.testing.assert_array_equal(measure_b1_rows(b1_states, cfg, rng.random(d)), np.arange(d))
 
 
 def test_prepare_b2_with_oam_sector():
@@ -298,28 +259,26 @@ def test_prepare_b2_with_oam_sector():
     assert st.oam_sector == 3
 
 
-# ------------------------------------------------- scalar vs vectorized sampling
+# ------------------------------------------- batch measurement vs inline inversion
 
 
 def test_scalar_measure_agrees_with_vectorized_inversion():
-    # the vectorized helper consumes the identical uniform stream, so the
-    # outcome sequences coincide draw for draw
+    # an inline searchsorted inversion of the same uniforms gives the same
+    # outcome sequences, draw for draw
     d = 8
     cfg = DeviceConfig(d=d)
     st = make_b2_state(d, 3)
-    shots = 4000
+    n = 4000
 
-    rng_a = np.random.default_rng(42)
-    scalar_b1 = np.array([measure_b1(st, cfg, rng_a) for _ in range(shots)])
+    u = np.random.default_rng(42).random(n)
     leaf = sorter_leaf_modes(d)
     cum = np.cumsum(np.abs(st.amplitudes[leaf]) ** 2)
-    rng_b = np.random.default_rng(42)
-    vector_b1 = leaf[np.minimum(np.searchsorted(cum, rng_b.random(shots), side="right"), d - 1)]
-    np.testing.assert_array_equal(scalar_b1, vector_b1)
+    oracle_b1 = leaf[np.minimum(np.searchsorted(cum, u, side="right"), d - 1)]
+    np.testing.assert_array_equal(shots(measure_b1_rows, st, cfg, np.random.default_rng(42), n), oracle_b1)
 
-    rng_a = np.random.default_rng(43)
-    scalar_b2 = np.array([measure_b2(st, cfg, rng_a) for _ in range(shots)])
+    u = np.random.default_rng(43).random(n)
     probs = b2_probabilities(st, cfg)
-    rng_b = np.random.default_rng(43)
-    counts = sample_counts(probs, rng_b, shots)
-    np.testing.assert_array_equal(np.bincount(scalar_b2, minlength=d), counts)
+    oracle_b2 = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), d - 1)
+    np.testing.assert_array_equal(shots(measure_b2_rows, st, cfg, np.random.default_rng(43), n), oracle_b2)
+    counts = sample_counts(probs, np.random.default_rng(43), n)
+    np.testing.assert_array_equal(np.bincount(oracle_b2, minlength=d), counts)
