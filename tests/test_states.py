@@ -5,6 +5,7 @@ import pytest
 
 from conftest import assert_counts_match
 from oamqkd.exceptions import DimensionMismatch, IndexOutOfRange, UnsupportedDimension
+from oamqkd.modes import ModeFamily, ModeLabel
 from oamqkd.states import (
     Basis,
     MubFamily,
@@ -34,6 +35,19 @@ def test_pure_state_is_immutable():
         st.amplitudes[0] = 1.0
     with pytest.raises(Exception):
         st.oam_sector = 1
+
+
+def test_physical_mode_mapping():
+    # Logical component n of sector l is the LG mode of order N = 2n + l and
+    # winding l, i.e. indices (n + l, n); component 1 of sector 2 is LG(3, 1).
+    st = PureState(np.array([1.0, 0.0, 0.0]), oam_sector=2)
+    np.testing.assert_array_equal(st.physical_orders(), [2, 4, 6])
+    label = ModeLabel(ModeFamily.LG, 3, 1)
+    assert label.order == st.physical_orders()[1]
+    assert label.oam == st.oam_sector
+    for n, order in enumerate(st.physical_orders()):
+        lg = ModeLabel(ModeFamily.LG, n + st.oam_sector, n)
+        assert (lg.order, lg.oam) == (order, st.oam_sector)
 
 
 # --------------------------------------------------------------------- bases
