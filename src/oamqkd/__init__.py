@@ -4,7 +4,7 @@ The package is organized along the signal path:
 
 * :mod:`oamqkd.modes` — physical HG/LG beam modes and quadrature checks.
 * :mod:`oamqkd.states` — logical qudit states, MUB families, Born sampling.
-* :mod:`oamqkd.devices` — sorter cascade, MODAN + Fourier chain, preparation.
+* :mod:`oamqkd.devices` — sorter cascade, MODAN + Fourier chain.
 * :mod:`oamqkd.channel` — rotations, Gouy dephasing, loss, eavesdropping.
 * :mod:`oamqkd.protocol` — the Monte-Carlo session engine.
 * :mod:`oamqkd.cli` — JSON-config experiment runner.
@@ -21,7 +21,7 @@ from .channel import (
     Rotation,
     TimeVaryingRotation,
 )
-from .devices import DeviceConfig, prepare_b1, prepare_b2
+from .devices import DeviceConfig
 from .exceptions import (
     ConfigInvalid,
     DimensionMismatch,
@@ -58,7 +58,6 @@ from .states import (
     PureState,
     born_probabilities,
     build_mub_family,
-    fourier_unitary,
     make_b1_state,
     make_b2_state,
 )

@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, require_finite
+from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, require_finite, require_int
 from .modes import BeamGeometry, beam_params
 from .states import MubFamily, physical_orders, sample_rows
 
@@ -221,10 +221,12 @@ class EveStrategy:
     fixed_basis: int | None = None
 
     def __post_init__(self) -> None:
-        if self.fixed_basis is not None and not 0 <= self.fixed_basis < self.mub.num_bases:
-            raise IndexOutOfRange(
-                f"fixed basis {self.fixed_basis} outside 0..{self.mub.num_bases - 1}"
-            )
+        if self.fixed_basis is not None:
+            require_int("fixed_basis", self.fixed_basis)
+            if not 0 <= self.fixed_basis < self.mub.num_bases:
+                raise IndexOutOfRange(
+                    f"fixed basis {self.fixed_basis} outside 0..{self.mub.num_bases - 1}"
+                )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,9 @@ Each key is a flag spelled with dashes (--test-fraction 0.2); true/false
 keys also take --no-KEY.  --channel repeats, and repeated flags replace the
 file's channel list.  Each dump_modes entry is a --dump-mode FAMILY,N,M flag
 whose plane z is set by the --z flag of the same position (default 0); a
---z flag without a --dump-mode flag at its position is a config error.
+--z flag without a --dump-mode flag at its position is a config error, and
+so are two entries whose file names mode_FAMILY_N_M_zZ.csv (Z with 6
+significant digits) coincide.
 
 Channel element grammar (used in config lists and repeated --channel flags):
 
@@ -132,10 +134,14 @@ class RunConfig:
         """The session this run executes; building it validates the config.
 
         Raises ConfigInvalid naming the first violated invariant.  Only
-        dump_samples is checked here: every other field is the session's.
+        the mode dumps are checked here: every other field is the session's.
         """
         if self.dump_samples < 2:
             raise ConfigInvalid(f"dump_samples must be >= 2, got {self.dump_samples}")
+        names = [_dump_name(label, z) for label, z in self.dump_modes]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigInvalid(f"two dump_modes entries write the same file {name}")
         device = DeviceConfig(
             d=self.d,
             geom=self.geometry(),
@@ -383,6 +389,10 @@ def _write_transcript(path: Path, transcript: Transcript) -> None:
         )
 
 
+def _dump_name(label: ModeLabel, z: float) -> str:
+    return f"mode_{label.family.value}_{label.n}_{label.m}_z{z:g}.csv"
+
+
 def _write_mode_dump(path: Path, label: ModeLabel, z: float, cfg: RunConfig) -> None:
     geom = cfg.geometry()
     grid = reference_grid(geom, z, samples_per_axis=cfg.dump_samples)
@@ -418,8 +428,7 @@ def run(cfg: RunConfig) -> int:
         if cfg.transcript:
             _write_transcript(out_dir / "transcript.csv", transcript)
         for label, z in cfg.dump_modes:
-            name = f"mode_{label.family.value}_{label.n}_{label.m}_z{z:g}.csv"
-            _write_mode_dump(out_dir / name, label, z, cfg)
+            _write_mode_dump(out_dir / _dump_name(label, z), label, z, cfg)
     except OSError as exc:
         print(f"failed writing outputs under {out_dir}: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Behavioral models of the preparation and measurement hardware.
+"""Behavioral models of the measurement hardware.
 
 * B1 measurement: a cascade of spatial modal interleavers (SMIs) sorting a
   photon into one detector port per ladder mode.  The cascade is modeled as
@@ -8,12 +8,12 @@
   per path that erases the mode label while keeping the path amplitude,
   optional per-path Gouy-compensation and detuning phases, an inverse
   Fourier transform across paths, and a detector per output port.
-* Preparation: B1 states come from a single-photon source plus a MODAN;
-  B2 states from running the (ideal) B2 measurement chain backwards.
 
 The modal converters (cylindrical-lens pairs) between the HG-side devices
 and the LG-side channel map mode (n, m) between the two families index-wise,
 so they act as the identity on logical amplitudes and are not modeled.
+Like the converters, preparation is not modeled: the ideal chain run
+backwards from port k sends basis state k itself.
 
 Devices are immutable after construction.  The measurement chains act on
 rows: ``measure_b1_rows``/``measure_b2_rows`` take a ``(n, d)`` amplitude
@@ -27,9 +27,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, require_finite
+from .exceptions import ConfigInvalid, DimensionMismatch, require_finite, require_int
 from .modes import BeamGeometry, beam_params, default_geometry
-from .states import PureState, fourier_unitary, make_b1_state, sample_rows
+from .states import PureState, build_mub_family, sample_rows
 
 __all__ = [
     "DeviceConfig",
@@ -39,8 +39,6 @@ __all__ = [
     "b2_probabilities",
     "measure_b1_rows",
     "measure_b2_rows",
-    "prepare_b1",
-    "prepare_b2",
 ]
 
 
@@ -62,6 +60,7 @@ class DeviceConfig:
     detuning_epsilon: float = 0.0
 
     def __post_init__(self) -> None:
+        require_int("d", self.d)
         if self.d < 2 or (self.d & (self.d - 1)) != 0:
             raise ConfigInvalid(
                 f"d must be a power of 2 for the sorter-cascade device model, got {self.d}"
@@ -175,7 +174,7 @@ def _b2_distribution(amplitudes: np.ndarray, cfg: DeviceConfig) -> np.ndarray:
     if factors is not None:
         path_amps = path_amps * factors
     # (v) inverse Fourier transform across the d paths; (vi) detectors.
-    return fourier_unitary(cfg.d).probabilities(path_amps)
+    return build_mub_family(cfg.d, 2)[1].probabilities(path_amps)
 
 
 def b2_probabilities(state: PureState, cfg: DeviceConfig) -> np.ndarray:
@@ -189,30 +188,3 @@ def measure_b2_rows(amplitudes: np.ndarray, cfg: DeviceConfig, u: np.ndarray) ->
     _check_dimension(amplitudes.shape[-1], cfg)
     return sample_rows(_b2_distribution(amplitudes, cfg), u)
 
-
-def prepare_b1(d: int, k: int, cfg: DeviceConfig, oam_sector: int = 0) -> PureState:
-    """Source photon reshaped by a MODAN into ladder state |k>."""
-    if cfg.d != d:
-        raise DimensionMismatch(f"requested dimension {d} != device dimension {cfg.d}")
-    if not 0 <= k < d:
-        raise IndexOutOfRange(f"symbol {k} outside 0..{d - 1}")
-    return make_b1_state(d, k, oam_sector=oam_sector)
-
-
-def prepare_b2(d: int, k: int, cfg: DeviceConfig, oam_sector: int = 0) -> PureState:
-    """Run the ideal B2 chain backwards from output port k.
-
-    The inverse-Fourier stage traversed in reverse applies the forward
-    Fourier unitary to the injected single-path photon, the MODANs re-dress
-    each path with its ladder mode, and the sorter recombines the paths, so
-    the emitted state equals make_b2_state(d, k) up to a global phase.
-    Compensation and detuning are measurement-side knobs and do not enter.
-    """
-    if cfg.d != d:
-        raise DimensionMismatch(f"requested dimension {d} != device dimension {cfg.d}")
-    if not 0 <= k < d:
-        raise IndexOutOfRange(f"symbol {k} outside 0..{d - 1}")
-    port = np.zeros(d, dtype=complex)
-    port[k] = 1.0
-    amps = fourier_unitary(d).matrix @ port
-    return PureState(amps, oam_sector=oam_sector)

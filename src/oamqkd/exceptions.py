@@ -36,3 +36,9 @@ def require_finite(name: str, value: float) -> None:
     """Raise ConfigInvalid unless ``value`` is a finite number."""
     if not math.isfinite(value):
         raise ConfigInvalid(f"{name} must be finite, got {value!r}")
+
+
+def require_int(name: str, value) -> None:
+    """Raise ConfigInvalid unless ``value`` is an int; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")

@@ -1,12 +1,12 @@
 """Monte-Carlo session engine for the d-dimensional BB84 protocol.
 
-One session: Alice draws a basis and symbol per photon and prepares it with
-the device models, the channel acts in flight, and Bob measures in his own
-random basis.  Public sifting keeps matching-basis delivered rounds, a
-Bernoulli subsample of the sifted rounds is sacrificed to estimate the
-symbol error rate, and the session aborts when that estimate exceeds the
-configured threshold or when no round was sacrificed, so that no estimate
-exists.
+One session: Alice draws a basis and symbol per photon and sends that
+basis state of the MUB family, the channel acts in flight, and Bob
+measures in his own random basis.  Public sifting keeps matching-basis
+delivered rounds, a Bernoulli subsample of the sifted rounds is sacrificed
+to estimate the symbol error rate, and the session aborts when that
+estimate exceeds the configured threshold or when no round was sacrificed,
+so that no estimate exists.
 
 Determinism: round i consumes only the PRNG substream seeded by
 (seed, 0, i) — in order: Alice basis, Alice symbol, the channel draws
@@ -21,7 +21,7 @@ The engine runs the rounds in chunks (at most CHUNK_ROUNDS rounds and
 CHUNK_AMPLITUDES amplitudes each), each in two phases.
 Phase 1, the draws, is a Python loop that builds each round's generator
 and pulls that round's draws, in the order above, into columns.  Phase 2,
-the physics, works on the whole chunk as arrays: the prepared flight states
+the physics, works on the whole chunk as arrays: the sent basis states
 are gathered as rows, each channel element acts on all rows at once (phase
 maps, a loss mask, measure-and-resend per Eve basis), and Bob measures the
 rows of each basis together.  Both phases use the draws exactly as a
@@ -40,8 +40,8 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .channel import ChannelSpec, Flight
-from .devices import DeviceConfig, measure_b1_rows, measure_b2_rows, prepare_b1, prepare_b2
-from .exceptions import ConfigInvalid, require_finite
+from .devices import DeviceConfig, measure_b1_rows, measure_b2_rows
+from .exceptions import ConfigInvalid, require_finite, require_int
 from .states import MubFamily, build_mub_family, check_mub_family, sample_rows
 
 __all__ = [
@@ -134,10 +134,12 @@ class SessionConfig:
     device: DeviceConfig | None = None
 
     def __post_init__(self) -> None:
+        for name in ("d", "photons", "seed", "num_mubs", "oam_sector"):
+            require_int(name, getattr(self, name))
         if self.photons < 1:
             raise ConfigInvalid(f"photons must be >= 1, got {self.photons}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigInvalid(
                 f"test_fraction must lie strictly between 0 and 1, got {self.test_fraction}"
@@ -149,6 +151,12 @@ class SessionConfig:
         require_finite("emission_rate", self.emission_rate)
         if self.emission_rate <= 0:
             raise ConfigInvalid(f"emission_rate must be > 0, got {self.emission_rate}")
+        # the emission time of the last round, computed as run_session does
+        if not math.isfinite((self.photons - 1) * (1.0 / self.emission_rate)):
+            raise ConfigInvalid(
+                f"emission_rate {self.emission_rate!r} with {self.photons} photons puts "
+                "the last emission time beyond the float range"
+            )
         if self.oam_sector < 0:
             raise ConfigInvalid(f"oam_sector must be >= 0, got {self.oam_sector}")
         device = self.device if self.device is not None else DeviceConfig(d=self.d)
@@ -224,28 +232,6 @@ def estimate_qber(
         np.count_nonzero(transcript.bob_outcome[chosen] != transcript.alice_symbol[chosen])
     )
     return QberEstimate(qber=mismatches / sacrificed, sacrificed=sacrificed, low_statistics=False)
-
-
-def _prepared_flight_states(cfg: SessionConfig, mub: MubFamily) -> np.ndarray:
-    """Amplitudes sent for every (basis, symbol); preparation is pure.
-
-    Bases 0 and 1 go through the device models (MODAN source, reversed B2
-    chain); any further MUB bases have no hardware model and are prepared at
-    the logical level.  Row [b, k] is the state of symbol k in basis b.  The
-    modal converter keeps the logical amplitudes, so these are also the
-    in-flight amplitudes.
-    """
-    states = np.empty((cfg.num_mubs, cfg.d, cfg.d), dtype=complex)
-    for b in range(cfg.num_mubs):
-        for k in range(cfg.d):
-            if b == 0:
-                state = prepare_b1(cfg.d, k, cfg.device, oam_sector=cfg.oam_sector)
-            elif b == 1:
-                state = prepare_b2(cfg.d, k, cfg.device, oam_sector=cfg.oam_sector)
-            else:
-                state = mub[b].state(k, oam_sector=cfg.oam_sector)
-            states[b, k] = state.amplitudes
-    return states
 
 
 def _plugin_mutual_information(pairs: list[tuple[int, tuple[int, int]]]) -> float:
@@ -341,7 +327,9 @@ def _play_rounds(
 def run_session(cfg: SessionConfig) -> tuple[SessionStats, Transcript]:
     """Run one full BB84 session; deterministic for a fixed config."""
     mub = build_mub_family(cfg.d, cfg.num_mubs)
-    flight_states = _prepared_flight_states(cfg, mub)
+    # row [b, k] is symbol k of basis b; the modal converter keeps the
+    # logical amplitudes, so these are also the in-flight amplitudes
+    flight_states = np.stack([basis.matrix.T for basis in mub.bases])
     n, dt = cfg.photons, 1.0 / cfg.emission_rate
     symbol_type = np.min_scalar_type(-cfg.d)  # signed, so -1 can mark "no outcome"
     transcript = Transcript(

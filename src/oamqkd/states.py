@@ -1,10 +1,13 @@
 """Logical d-dimensional state algebra.
 
-Pure states over the encoded subspace, the two protocol bases (the mode
-ladder B1 and its discrete-Fourier conjugate B2), general mutually unbiased
-basis families, and Born-rule measurement sampling.  Probabilities and
-sampling work on rows: a ``(..., d)`` amplitude array is a batch of
-photons, and ``sample_rows`` turns one uniform per row into an outcome.
+Pure states over the encoded subspace, mutually unbiased basis families,
+and Born-rule measurement sampling.  ``build_mub_family`` is the one
+construction of basis vectors: its basis 0 is the mode ladder B1 and its
+basis 1 the discrete-Fourier conjugate B2, so every state the protocol
+sends, resends or projects on is a column of one of its matrices.
+Probabilities and sampling work on rows: a ``(..., d)`` amplitude array is
+a batch of photons, and ``sample_rows`` turns one uniform per row into an
+outcome.
 
 States are compared via |<a|b>| so global phases are unobservable by
 design.
@@ -27,7 +30,6 @@ __all__ = [
     "make_b1_state",
     "make_b2_state",
     "physical_orders",
-    "fourier_unitary",
     "check_mub_family",
     "build_mub_family",
     "born_probabilities",
@@ -77,14 +79,6 @@ class PureState:
         if other.d != self.d:
             raise DimensionMismatch(f"dimensions differ: {self.d} vs {other.d}")
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
-
-
-def _trusted_state(amplitudes: np.ndarray, oam_sector: int) -> PureState:
-    """Build a PureState without re-validating already-normalized amplitudes."""
-    state = object.__new__(PureState)
-    object.__setattr__(state, "amplitudes", amplitudes)
-    object.__setattr__(state, "oam_sector", oam_sector)
-    return state
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +131,7 @@ class Basis:
         return self.matrix[:, k]
 
     def state(self, k: int, oam_sector: int = 0) -> PureState:
-        # columns were verified orthonormal at construction
-        return _trusted_state(self.vector(k), oam_sector)
+        return PureState(self.vector(k), oam_sector=oam_sector)
 
 
 @dataclass(frozen=True)
@@ -185,33 +178,12 @@ class MubFamily:
 
 def make_b1_state(d: int, k: int, oam_sector: int = 0) -> PureState:
     """Basis-one state |k>: the photon occupies a single ladder mode."""
-    if not 0 <= k < d:
-        raise IndexOutOfRange(f"symbol {k} outside 0..{d - 1}")
-    amps = np.zeros(d, dtype=complex)
-    amps[k] = 1.0
-    return PureState(amps, oam_sector=oam_sector)
+    return build_mub_family(d, 2)[0].state(k, oam_sector)
 
 
 def make_b2_state(d: int, k: int, oam_sector: int = 0) -> PureState:
     """Basis-two state |k~>: equal-weight superposition with phases e^{i 2pi k n / d}."""
-    if not 0 <= k < d:
-        raise IndexOutOfRange(f"symbol {k} outside 0..{d - 1}")
-    n = np.arange(d)
-    amps = np.exp(2j * math.pi * ((k * n) % d) / d) / math.sqrt(d)
-    return PureState(amps, oam_sector=oam_sector)
-
-
-@lru_cache(maxsize=None)
-def fourier_unitary(d: int) -> Basis:
-    """d x d discrete Fourier unitary U[n, k] = e^{i 2pi k n / d} / sqrt(d).
-
-    Its columns are exactly the basis-two states.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    n = np.arange(d)
-    mat = np.exp(2j * math.pi * (np.outer(n, n) % d) / d) / math.sqrt(d)
-    return Basis(mat)
+    return build_mub_family(d, 2)[1].state(k, oam_sector)
 
 
 def _is_prime(d: int) -> bool:

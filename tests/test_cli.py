@@ -203,6 +203,10 @@ def test_config_error_exit_code(capsys):
         ["--config", {"photons": 1, "dump_modes": [["LG", 1, True, 0]]}],
         ["--dump-mode", "LG,1,1", "--z", "0.5", "--z", "0.7"],
         ["--z", "0.5"],
+        ["--d", "4", "--photons", "6", "--oam", "1", "--channel", "time_rotation:1.0",
+         "--emission-rate", "1e-310", "--transcript"],
+        ["--photons", "1", "--dump-samples", "4", "--dump-mode", "LG,1,1", "--z", "0.1234567",
+         "--dump-mode", "LG,1,1", "--z", "0.1234568"],
     ],
 )
 def test_bad_config_writes_nothing(tmp_path, capsys, args):

@@ -12,12 +12,10 @@ from oamqkd.devices import (
     b2_probabilities,
     measure_b1_rows,
     measure_b2_rows,
-    prepare_b1,
-    prepare_b2,
     sorter_cascade,
     sorter_leaf_modes,
 )
-from oamqkd.exceptions import DimensionMismatch, IndexOutOfRange
+from oamqkd.exceptions import DimensionMismatch
 from oamqkd.modes import default_geometry
 from oamqkd.states import (
     PureState,
@@ -226,37 +224,13 @@ def test_knobs_are_noops_without_upstream_gouy():
 # ----------------------------------------------------------------- preparation
 
 
-def test_prepare_b1_equals_logical_state():
-    cfg = DeviceConfig(d=4)
-    st = prepare_b1(4, 2, cfg)
-    assert st.fidelity(make_b1_state(4, 2)) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(IndexOutOfRange):
-        prepare_b1(4, 4, cfg)
-    with pytest.raises(DimensionMismatch):
-        prepare_b1(8, 0, cfg)
-
-
-@pytest.mark.parametrize("d", [2, 4, 8])
-def test_prepare_b2_equals_logical_state(d):
-    cfg = DeviceConfig(d=d)
-    for k in range(d):
-        st = prepare_b2(d, k, cfg)
-        assert st.fidelity(make_b2_state(d, k)) == pytest.approx(1.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_prepare_then_measure_round_trip(d, rng):
+    # the states Alice sends are the family's columns, one row per symbol
     cfg = DeviceConfig(d=d)
-    b2_states = np.array([prepare_b2(d, k, cfg).amplitudes for k in range(d)])
-    b1_states = np.array([prepare_b1(d, k, cfg).amplitudes for k in range(d)])
+    b1_states, b2_states = (basis.matrix.T for basis in build_mub_family(d, 2).bases)
     np.testing.assert_array_equal(measure_b2_rows(b2_states, cfg, rng.random(d)), np.arange(d))
     np.testing.assert_array_equal(measure_b1_rows(b1_states, cfg, rng.random(d)), np.arange(d))
-
-
-def test_prepare_b2_with_oam_sector():
-    cfg = DeviceConfig(d=4)
-    st = prepare_b2(4, 1, cfg, oam_sector=3)
-    assert st.oam_sector == 3
 
 
 # ------------------------------------------- batch measurement vs inline inversion

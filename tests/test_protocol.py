@@ -66,11 +66,29 @@ def test_config_validation():
         SessionConfig(d=4, photons=10, seed=1, device=DeviceConfig(d=8))
 
 
+@pytest.mark.parametrize("bad", [1.5, 4.0, True])
+def test_integer_fields_reject_non_integers(bad):
+    # a float or bool used to run (oam_sector=1.5, seed=True) or die with a TypeError
+    base = dict(d=4, photons=50, seed=0, channel=ChannelSpec((Rotation(0.3),)))
+    for field in ("d", "photons", "seed", "num_mubs", "oam_sector"):
+        with pytest.raises(ConfigInvalid, match=f"^{field} must be an integer"):
+            SessionConfig(**{**base, field: bad})
+    with pytest.raises(ConfigInvalid, match="d must be an integer"):
+        DeviceConfig(d=bad)
+    with pytest.raises(ConfigInvalid, match="fixed_basis"):
+        EveStrategy(build_mub_family(4, 2), fixed_basis=bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_rejected(bad):
     # a NaN emission rate used to stamp t = nan on every round
     with pytest.raises(ConfigInvalid, match="emission_rate"):
         SessionConfig(d=4, photons=3, seed=0, emission_rate=bad)
+    # a finite rate whose emission times overflow: 1/rate, then (photons - 1)/rate
+    with pytest.raises(ConfigInvalid, match="emission_rate"):
+        SessionConfig(d=4, photons=1, seed=0, emission_rate=1e-310)
+    with pytest.raises(ConfigInvalid, match="emission_rate"):
+        SessionConfig(d=4, photons=100_000, seed=0, emission_rate=1e-304)
     with pytest.raises(ConfigInvalid, match="propagation_z"):
         DeviceConfig(d=4, propagation_z=bad)
     with pytest.raises(ConfigInvalid, match="detuning_epsilon"):

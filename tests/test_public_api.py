@@ -4,12 +4,15 @@ import pkgutil
 import oamqkd
 
 # the per-photon API and the HG/LG frame tag, replaced by the batch entry
-# points (Flight, ChannelSpec.draw/apply, measure_b*_rows, sample_rows)
+# points (Flight, ChannelSpec.draw/apply, measure_b*_rows, sample_rows);
+# then the preparation devices and the extra Fourier constructions, replaced
+# by the columns of build_mub_family
 REMOVED = {
     "Frame", "WrongFrame", "ConvertDirection", "modal_convert",
     "measure_b1", "measure_b2", "born_measure", "sample_index",
     "apply_rotation", "apply_time_varying_rotation", "apply_gouy", "apply_loss",
     "apply_frequency_shift", "eve_attack", "apply_channel", "ChannelResult", "EveGuess",
+    "prepare_b1", "prepare_b2", "fourier_unitary", "_prepared_flight_states", "_trusted_state",
 }
 
 

@@ -12,7 +12,6 @@ from oamqkd.states import (
     PureState,
     born_probabilities,
     build_mub_family,
-    fourier_unitary,
     make_b1_state,
     make_b2_state,
     sample_counts,
@@ -82,30 +81,41 @@ def test_b1_b2_unbiased(d):
             assert abs(ip) ** 2 == pytest.approx(1.0 / d, abs=1e-12)
 
 
+def fourier_oracle(d):
+    """U[n, k] = e^{i 2pi k n / d} / sqrt(d), written out independently of the package."""
+    n = np.arange(d)
+    return np.exp(2j * math.pi * (np.outer(n, n) % d) / d) / math.sqrt(d)
+
+
+def fourier_basis(d):
+    """Basis 1 of every family is the discrete-Fourier basis B2."""
+    return build_mub_family(d, 2)[1]
+
+
 def test_fourier_unitary_small():
-    np.testing.assert_allclose(fourier_unitary(1).matrix, [[1.0]])
+    np.testing.assert_allclose(fourier_basis(1).matrix, [[1.0]])
     np.testing.assert_allclose(
-        fourier_unitary(2).matrix, np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-15
+        fourier_basis(2).matrix, np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-15
     )
 
 
 @pytest.mark.parametrize("d", range(1, 17))
 def test_fourier_unitary_is_unitary(d):
-    u = fourier_unitary(d).matrix
+    u = fourier_basis(d).matrix
     np.testing.assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
+    np.testing.assert_allclose(u, fourier_oracle(d), atol=1e-12)
 
 
 def test_fourier_columns_equal_b2_states():
     for d in (2, 5, 8):
+        oracle = fourier_oracle(d)
         for k in range(d):
-            np.testing.assert_allclose(
-                fourier_unitary(d).vector(k), make_b2_state(d, k).amplitudes, atol=1e-14
-            )
+            np.testing.assert_allclose(make_b2_state(d, k).amplitudes, oracle[:, k], atol=1e-14)
 
 
 def test_fourier_maps_e0_to_uniform():
     d = 8
-    out = fourier_unitary(d).matrix @ make_b1_state(d, 0).amplitudes
+    out = fourier_basis(d).matrix @ make_b1_state(d, 0).amplitudes
     np.testing.assert_allclose(out, np.full(d, 1.0 / math.sqrt(d)), atol=1e-14)
 
 
@@ -134,7 +144,7 @@ def test_build_mub_family_pair():
     fam = build_mub_family(4, 2)
     assert fam.num_bases == 2
     np.testing.assert_allclose(fam[0].matrix, np.eye(4), atol=1e-15)
-    np.testing.assert_allclose(fam[1].matrix, fourier_unitary(4).matrix, atol=1e-15)
+    np.testing.assert_allclose(fam[1].matrix, fourier_oracle(4), atol=1e-15)
     assert build_mub_family(4, 2) is fam  # built once per process
 
 
@@ -197,7 +207,7 @@ def test_born_probabilities_match_counts(rng):
 
 def test_born_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        born_probabilities(make_b1_state(4, 0), fourier_unitary(8))
+        born_probabilities(make_b1_state(4, 0), fourier_basis(8))
 
 
 def test_born_consumes_one_draw_and_is_seed_deterministic():
