@@ -6,6 +6,7 @@ The package is organized along the signal path:
 * :mod:`oamqkd.states` — logical qudit states, MUB families, Born sampling.
 * :mod:`oamqkd.devices` — sorter cascade, MODAN + Fourier chain.
 * :mod:`oamqkd.channel` — rotations, Gouy dephasing, loss, eavesdropping.
+* :mod:`oamqkd.streams` — many per-round PRNG substreams at once, as columns.
 * :mod:`oamqkd.protocol` — the Monte-Carlo session engine.
 * :mod:`oamqkd.cli` — JSON-config experiment runner.
 """

@@ -6,12 +6,14 @@ frequency shift picked up by nonzero-OAM encodings, and intercept-resend
 eavesdropping.  Elements compose in list order via ChannelSpec.
 
 Every element acts on a Flight, a chunk of photons held as the rows of one
-amplitude array, in two steps: ``draw(rng)`` takes one photon's PRNG draws
-(``width`` numbers: a uniform for RandomRotation and for Loss, a basis and a
-uniform for Eve, nothing for the others; ``absorbs(drawn)`` says whether
-they ended the photon, which only a Loss does), and ``apply(flight, draws)``
-acts on all rows at once, given those draws as columns.  Apart from the draws
-every application is pure.  A single photon is a Flight of one row.
+amplitude array, in two steps.  ``sample(streams, rows, out)`` takes the
+PRNG draws of the listed in-flight rows from a ``Substreams`` cursor, as
+``width`` columns of ``out`` (a uniform for RandomRotation and for Loss, a
+basis and a uniform for Eve, nothing for the others), and returns the rows
+still in flight: a Loss drops the rows it absorbs, so they draw nothing
+further.  ``apply(flight, draws)`` then acts on all rows at once, given
+those columns.  Apart from the draws every application is pure.  A single
+photon is a Flight of one row.
 
 The encoding's headline property lives here: an l = 0 state is bitwise
 unchanged by any rotation of the transverse frame, and a fixed-l sector
@@ -36,6 +38,7 @@ import numpy as np
 from .exceptions import ConfigInvalid, DimensionMismatch, IndexOutOfRange, require_finite, require_int
 from .modes import BeamGeometry, beam_params
 from .states import MubFamily, physical_orders, sample_rows
+from .streams import Substreams
 
 __all__ = [
     "Flight",
@@ -95,9 +98,6 @@ class _PhaseMap:
 
     width = 0
 
-    def absorbs(self, drawn) -> bool:
-        return False
-
     def apply(self, flight: Flight, draws: np.ndarray) -> None:
         factors = self.factors(flight, draws)
         if factors is not None:
@@ -123,8 +123,9 @@ class RandomRotation(_PhaseMap):
 
     width = 1
 
-    def draw(self, rng: np.random.Generator) -> tuple[float]:
-        return (rng.random(),)
+    def sample(self, streams: Substreams, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[rows, 0] = streams.random(rows)
+        return rows
 
     def factors(self, flight: Flight, draws: np.ndarray) -> np.ndarray | None:
         return _rotation_factors(flight.oam_sector, draws[:, 0] * 2.0 * math.pi)
@@ -198,16 +199,14 @@ class Loss:
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigInvalid(f"loss probability must be in [0, 1], got {self.probability}")
 
-    def draw(self, rng: np.random.Generator) -> tuple[float]:
-        return (rng.random(),)
-
-    def absorbs(self, drawn):
-        """Whether the uniform ``drawn[0]`` absorbs the photon; ``drawn`` is
-        one photon's draws or, transposed, a chunk's columns."""
-        return drawn[0] < self.probability
+    def sample(self, streams: Substreams, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A uniform per row; a row whose uniform is below the probability is absorbed."""
+        u = streams.random(rows)
+        out[rows, 0] = u
+        return rows[u >= self.probability]
 
     def apply(self, flight: Flight, draws: np.ndarray) -> None:
-        flight.delivered &= ~self.absorbs(draws.T)
+        flight.delivered &= draws[:, 0] >= self.probability
 
 
 @dataclass(frozen=True)
@@ -242,13 +241,14 @@ class Eve:
 
     width = 2
 
-    def absorbs(self, drawn) -> bool:
-        return False
-
-    def draw(self, rng: np.random.Generator) -> tuple[int, float]:
+    def sample(self, streams: Substreams, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         fixed = self.strategy.fixed_basis
-        basis = rng.integers(self.strategy.mub.num_bases) if fixed is None else fixed
-        return basis, rng.random()
+        if fixed is None:
+            out[rows, 0] = streams.integers(self.strategy.mub.num_bases, rows)
+        else:
+            out[rows, 0] = fixed
+        out[rows, 1] = streams.random(rows)
+        return rows
 
     def apply(self, flight: Flight, draws: np.ndarray) -> None:
         mub = self.strategy.mub
@@ -288,22 +288,19 @@ class ChannelSpec:
         """Draws per photon that reaches the end of the channel."""
         return sum(el.width for el in self.elements)
 
-    def draw(self, rng: np.random.Generator) -> tuple[list, bool]:
-        """One photon's draws, element by element in list order.
+    def sample(self, streams: Substreams, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The draws of ``rows``, element by element in list order.
 
-        Returns ``width`` numbers and whether the photon got through.  The
-        first absorption ends the draws; the numbers after it are 0.
+        Writes the ``width`` columns of ``out`` and returns the rows that got
+        through.  A row's first absorption ends its draws; its entries after
+        it are left as they were.
         """
-        draws: list = []
+        col = 0
         for el in self.elements:
-            if not el.width:
-                continue
-            drawn = el.draw(rng)
-            draws.extend(drawn)
-            if el.absorbs(drawn):
-                draws.extend([0.0] * (self.width - len(draws)))
-                return draws, False
-        return draws, True
+            if el.width:
+                rows = el.sample(streams, rows, out[:, col : col + el.width])
+            col += el.width
+        return rows
 
     def apply(self, flight: Flight, draws: np.ndarray) -> None:
         """Apply every element in order; ``draws`` has ``width`` columns.

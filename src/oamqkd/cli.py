@@ -10,7 +10,7 @@ seed; the only non-reproducible output is the explicitly labeled
 Config keys (all optional, one-to-one with the flags):
 
     d                 4       logical dimension (2, 4, 8, ...)
-    photons           1000    rounds per session
+    photons           1000    rounds per session (at most 2^53)
     seed              0       master PRNG seed (non-negative int)
     mubs              2       number of bases used by Alice and Bob (more
                               than 2 only at d = 2: the devices need d = 2^s,

@@ -8,25 +8,30 @@ to estimate the symbol error rate, and the session aborts when that
 estimate exceeds the configured threshold or when no round was sacrificed,
 so that no estimate exists.
 
-Determinism: round i consumes only the PRNG substream seeded by
-(seed, 0, i) — in order: Alice basis, Alice symbol, the channel draws
-(element by element: one uniform per RandomRotation and per Loss, a basis
-and a uniform per Eve; a photon absorbed by a Loss draws nothing further
-in the channel), Bob basis, and Bob's measurement uniform if the photon was
-delivered — and sacrifice sampling uses the separate substream (seed, 1),
-one uniform per sifted round in round order.  Identical configs therefore
+Determinism: round i consumes only the PRNG substream
+``numpy.random.default_rng((seed, 0, i))`` — in order: Alice basis, Alice
+symbol, the channel draws (element by element: one uniform per
+RandomRotation and per Loss, a basis and a uniform per Eve; a photon
+absorbed by a Loss draws nothing further in the channel), Bob basis, and
+Bob's measurement uniform if the photon was delivered — and sacrifice
+sampling uses the separate substream (seed, 1), one uniform per sifted
+round in round order.  Identical configs therefore
 produce identical transcripts regardless of processing order.
 
-The engine runs the rounds in chunks (at most CHUNK_ROUNDS rounds and
-CHUNK_AMPLITUDES amplitudes each), each in two phases.
-Phase 1, the draws, is a Python loop that builds each round's generator
-and pulls that round's draws, in the order above, into columns.  Phase 2,
-the physics, works on the whole chunk as arrays: the sent basis states
-are gathered as rows, each channel element acts on all rows at once (phase
-maps, a loss mask, measure-and-resend per Eve basis), and Bob measures the
-rows of each basis together.  Both phases use the draws exactly as a
-photon-by-photon loop would, so the chunk size changes no output.  Sifting
-and the sacrifice then work on the columns of the Transcript.
+The engine runs the rounds in chunks of at most CHUNK_ROUNDS rounds, each
+in two phases.  Phase 1, the draws, computes the substreams of the whole
+chunk at once as columns (``streams.Substreams``, which repeats numpy's
+SeedSequence, PCG64 and Generator algorithms on arrays) and takes every
+round's draws in the order above; each round moves along its own stream, so
+an absorbed photon or a fixed-basis Eve skips draws only in its own row.
+Phase 2, the physics, plays the chunk in slices of at most CHUNK_AMPLITUDES
+amplitudes as arrays: the sent basis states are gathered as rows, each
+channel element acts on all rows at once (phase maps, a loss mask,
+measure-and-resend per Eve basis), and Bob measures the rows of each basis
+together.  Both phases use the draws exactly as a photon-by-photon loop
+with one ``default_rng((seed, 0, i))`` per round would, so neither bound
+changes any output.  Sifting and the sacrifice then work on the columns of
+the Transcript.
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random import default_rng
 
-from .channel import ChannelSpec, Flight
+from .channel import ChannelSpec, Eve, Flight
 from .devices import DeviceConfig, measure_b1_rows, measure_b2_rows
 from .exceptions import ConfigInvalid, require_finite, require_int
 from .states import MubFamily, build_mub_family, check_mub_family, sample_rows
+from .streams import Substreams
 
 __all__ = [
     "RoundRecord",
@@ -57,10 +63,13 @@ __all__ = [
 
 ROUND_STREAM = 0
 SIFT_STREAM = 1
-# a chunk holds at most CHUNK_ROUNDS rounds and CHUNK_AMPLITUDES amplitudes,
-# which bounds its per-round Python objects and its (chunk, d) arrays
-CHUNK_ROUNDS = 256
+# phase 1 draws a chunk of at most CHUNK_ROUNDS rounds at once, which bounds
+# its per-row stream state; phase 2 plays it in slices of at most
+# CHUNK_AMPLITUDES amplitudes, which bounds its (slice, d) arrays
+CHUNK_ROUNDS = 16384
 CHUNK_AMPLITUDES = 4096
+# past 2^53 rounds the float emission times t = i * dt are no longer distinct
+MAX_PHOTONS = 2**53
 
 
 @dataclass
@@ -136,8 +145,8 @@ class SessionConfig:
     def __post_init__(self) -> None:
         for name in ("d", "photons", "seed", "num_mubs", "oam_sector"):
             require_int(name, getattr(self, name))
-        if self.photons < 1:
-            raise ConfigInvalid(f"photons must be >= 1, got {self.photons}")
+        if not 1 <= self.photons <= MAX_PHOTONS:
+            raise ConfigInvalid(f"photons must be in [1, 2^53], got {self.photons}")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.test_fraction < 1.0:
@@ -163,6 +172,12 @@ class SessionConfig:
         if device.d != self.d:
             raise ConfigInvalid(f"device dimension {device.d} != session dimension {self.d}")
         object.__setattr__(self, "device", device)
+        for el in self.channel.elements:
+            if isinstance(el, Eve) and el.strategy.mub.d != self.d:
+                raise ConfigInvalid(
+                    f"eavesdropper basis dimension {el.strategy.mub.d} != "
+                    f"session dimension {self.d}"
+                )
         try:
             check_mub_family(self.d, self.num_mubs)
         except ValueError as exc:
@@ -251,56 +266,29 @@ def _plugin_mutual_information(pairs: list[tuple[int, tuple[int, int]]]) -> floa
     return max(mi, 0.0)
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of n, as SeedSequence splits an int."""
-    words = [n & 0xFFFFFFFF]
-    while n > 0xFFFFFFFF:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
-def _round_entropy(seed: int, start: int, stop: int) -> list[np.ndarray]:
-    """Entropy of the substreams (seed, ROUND_STREAM, i), i in [start, stop).
-
-    SeedSequence splits each int of a tuple into its 32-bit words, so these
-    uint32 arrays seed the same streams as the tuples, without the
-    per-call conversion.
-    """
-    prefix = _uint32_words(seed) + _uint32_words(ROUND_STREAM)
-    high, low = np.divmod(np.arange(start, stop), 2**32)
-    block = np.empty((stop - start, len(prefix) + 2), dtype=np.uint32)
-    block[:, : len(prefix)] = prefix
-    block[:, -2] = low
-    block[:, -1] = high
-    return [row if wide else row[:-1] for row, wide in zip(block, high.tolist())]
-
-
 def _draw_rounds(cfg: SessionConfig, start: int, stop: int) -> np.ndarray:
     """Phase 1: the draws of rounds [start, stop), one row per round.
 
     Columns: Alice basis, Alice symbol, Bob basis, Bob's measurement uniform
-    (0 for an absorbed photon), then the channel's ``width`` draws.  Each
-    round draws from its own generator in the order of the module
-    docstring.
+    (0 for an absorbed photon), then the channel's ``width`` draws (0 after
+    an absorption).  Each round draws from its own substream in the order of
+    the module docstring.
     """
-    channel, num_mubs, d = cfg.channel, cfg.num_mubs, cfg.d
-    rows = []
-    for entropy in _round_entropy(cfg.seed, start, stop):
-        rng = Generator(PCG64(SeedSequence(entropy)))
-        alice_basis = rng.integers(num_mubs)
-        alice_symbol = rng.integers(d)
-        channel_draws, delivered = channel.draw(rng)
-        bob_basis = rng.integers(num_mubs)
-        bob_u = rng.random() if delivered else 0.0
-        rows.append((alice_basis, alice_symbol, bob_basis, bob_u, *channel_draws))
-    return np.array(rows, dtype=float)
+    streams = Substreams(cfg.seed, ROUND_STREAM, start, stop)
+    rows = np.arange(stop - start)
+    draws = np.zeros((stop - start, 4 + cfg.channel.width))
+    draws[:, 0] = streams.integers(cfg.num_mubs, rows)
+    draws[:, 1] = streams.integers(cfg.d, rows)
+    delivered = cfg.channel.sample(streams, rows, draws[:, 4:])
+    draws[:, 2] = streams.integers(cfg.num_mubs, rows)
+    draws[delivered, 3] = streams.random(delivered)
+    return draws
 
 
 def _play_rounds(
     cfg: SessionConfig, mub: MubFamily, flight_states: np.ndarray, draws: np.ndarray, t: np.ndarray
 ) -> tuple[Flight, np.ndarray]:
-    """Phase 2: the physics of a chunk of rounds given their draws.
+    """Phase 2: the physics of a slice of rounds given their draws.
 
     Returns the flight after the channel and Bob's outcome per round (-1
     where the photon was absorbed).  Bob measures the flight rows as they
@@ -343,25 +331,28 @@ def run_session(cfg: SessionConfig) -> tuple[SessionStats, Transcript]:
     eve_basis = np.empty(n, dtype=np.int8)
     eve_outcome = np.empty(n, dtype=symbol_type)
 
-    chunk = max(1, min(CHUNK_ROUNDS, CHUNK_AMPLITUDES // cfg.d))
+    slice_rounds = max(1, CHUNK_AMPLITUDES // cfg.d)
     start = time.perf_counter()
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        draws = _draw_rounds(cfg, lo, hi)
-        t = np.arange(lo, hi) * dt
-        flight, outcome = _play_rounds(cfg, mub, flight_states, draws, t)
-        transcript.t[lo:hi] = t
-        transcript.alice_basis[lo:hi] = draws[:, 0]
-        transcript.alice_symbol[lo:hi] = draws[:, 1]
-        transcript.delivered[lo:hi] = flight.delivered
-        transcript.bob_basis[lo:hi] = draws[:, 2]
-        transcript.bob_outcome[lo:hi] = outcome
-        eve_basis[lo:hi] = flight.eve_basis
-        eve_outcome[lo:hi] = flight.eve_outcome
+    for chunk_lo in range(0, n, CHUNK_ROUNDS):
+        chunk_hi = min(chunk_lo + CHUNK_ROUNDS, n)
+        chunk_draws = _draw_rounds(cfg, chunk_lo, chunk_hi)
+        for lo in range(chunk_lo, chunk_hi, slice_rounds):
+            hi = min(lo + slice_rounds, chunk_hi)
+            draws = chunk_draws[lo - chunk_lo : hi - chunk_lo]
+            t = np.arange(lo, hi) * dt
+            flight, outcome = _play_rounds(cfg, mub, flight_states, draws, t)
+            transcript.t[lo:hi] = t
+            transcript.alice_basis[lo:hi] = draws[:, 0]
+            transcript.alice_symbol[lo:hi] = draws[:, 1]
+            transcript.delivered[lo:hi] = flight.delivered
+            transcript.bob_basis[lo:hi] = draws[:, 2]
+            transcript.bob_outcome[lo:hi] = outcome
+            eve_basis[lo:hi] = flight.eve_basis
+            eve_outcome[lo:hi] = flight.eve_outcome
 
     sift(transcript)
     estimate = estimate_qber(
-        transcript, cfg.test_fraction, np.random.default_rng((cfg.seed, SIFT_STREAM))
+        transcript, cfg.test_fraction, default_rng((cfg.seed, SIFT_STREAM))
     )
     elapsed = time.perf_counter() - start
 

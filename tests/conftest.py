@@ -3,11 +3,14 @@ import pytest
 
 from oamqkd.channel import ChannelSpec, Flight
 from oamqkd.states import PureState
+from oamqkd.streams import Substreams
+
+SEED = 20240811
 
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(20240811)
+    return np.random.default_rng(SEED)
 
 
 def assert_counts_match(counts, probs, nsigma=5.0):
@@ -26,17 +29,17 @@ def assert_counts_match(counts, probs, nsigma=5.0):
     )
 
 
-def fly(spec, amplitudes, oam_sector=0, t=0.0, rng=None):
+def fly(spec, amplitudes, oam_sector=0, t=0.0, seed=SEED):
     """Send photons through ``spec`` as one Flight and return the Flight.
 
     ``amplitudes`` is one state vector or an ``(n, d)`` array of rows and
-    ``t`` one emission time or one per row.  Each row takes its draws with
-    ``spec.draw(rng)``, in row order; ``rng`` may be None when the spec
-    draws nothing.
+    ``t`` one emission time or one per row.  Row i takes its draws from the
+    substream ``default_rng((seed, 0, i))``, as round i of a session would.
     """
     amps = np.array(amplitudes, dtype=complex, ndmin=2)
     n = len(amps)
-    draws = np.array([spec.draw(rng)[0] for _ in range(n)], dtype=float).reshape(n, spec.width)
+    draws = np.zeros((n, spec.width))
+    spec.sample(Substreams(seed, 0, 0, n), np.arange(n), draws)
     flight = Flight(amps, np.broadcast_to(np.asarray(t, dtype=float), (n,)), oam_sector)
     spec.apply(flight, draws)
     return flight
@@ -47,6 +50,6 @@ def row_state(flight):
     return PureState(flight.amplitudes[0], oam_sector=flight.oam_sector)
 
 
-def through(element, state, t=0.0, rng=None):
+def through(element, state, t=0.0, seed=SEED):
     """``state`` after the one-element channel ``element``, as a PureState."""
-    return row_state(fly(ChannelSpec((element,)), state.amplitudes, state.oam_sector, t, rng))
+    return row_state(fly(ChannelSpec((element,)), state.amplitudes, state.oam_sector, t, seed))

@@ -25,6 +25,7 @@ from oamqkd.states import (
     make_b2_state,
     sample_rows,
 )
+from oamqkd.streams import Substreams
 
 GEOM = default_geometry()
 
@@ -126,22 +127,22 @@ def test_gouy_sector_offset_enters_order():
 # ----------------------------------------------------------------------- loss
 
 
-def test_loss_extremes(rng):
+def test_loss_extremes():
     st = make_b1_state(2, 0)
     rows = np.tile(st.amplitudes, (100, 1))
-    kept = fly(ChannelSpec((Loss(0.0),)), rows, rng=rng)
+    kept = fly(ChannelSpec((Loss(0.0),)), rows)
     assert kept.delivered.all()
     np.testing.assert_array_equal(kept.amplitudes, rows)
-    assert not fly(ChannelSpec((Loss(1.0),)), rows, rng=rng).delivered.any()
+    assert not fly(ChannelSpec((Loss(1.0),)), rows).delivered.any()
     with pytest.raises(ValueError):
         Loss(probability=1.5)
     with pytest.raises(ValueError):
         Loss(probability=-0.1)
 
 
-def test_loss_fraction_binomial(rng):
+def test_loss_fraction_binomial():
     n = 100_000
-    flight = fly(ChannelSpec((Loss(0.3),)), np.tile(make_b1_state(2, 0).amplitudes, (n, 1)), rng=rng)
+    flight = fly(ChannelSpec((Loss(0.3),)), np.tile(make_b1_state(2, 0).amplitudes, (n, 1)))
     lost = int(np.count_nonzero(~flight.delivered))
     assert_counts_match(np.array([lost, n - lost]), np.array([0.3, 0.7]))
 
@@ -195,10 +196,10 @@ def test_enumeration_oracle_matches_closed_form(d, expected):
     assert oracle == pytest.approx(expected, abs=1e-12)
 
 
-def test_eve_matching_basis_is_transparent(rng):
+def test_eve_matching_basis_is_transparent():
     mub = build_mub_family(4, 2)
     st = make_b2_state(4, 2)
-    flight = fly(ChannelSpec((Eve(EveStrategy(mub=mub, fixed_basis=1)),)), st.amplitudes, rng=rng)
+    flight = fly(ChannelSpec((Eve(EveStrategy(mub=mub, fixed_basis=1)),)), st.amplitudes)
     assert flight.eve_basis[0] == 1
     assert flight.eve_outcome[0] == 2
     assert row_state(flight).fidelity(st) == pytest.approx(1.0, abs=1e-12)
@@ -206,7 +207,7 @@ def test_eve_matching_basis_is_transparent(rng):
 
 def test_eve_preserves_sector_and_frame(rng):
     mub = build_mub_family(4, 2)
-    flight = fly(ChannelSpec((Eve(EveStrategy(mub=mub)),)), random_amplitudes(4, rng), 3, rng=rng)
+    flight = fly(ChannelSpec((Eve(EveStrategy(mub=mub)),)), random_amplitudes(4, rng), 3)
     out = row_state(flight)
     assert out.oam_sector == 3
     # the forwarded photon is the eigenstate Eve saw
@@ -214,10 +215,10 @@ def test_eve_preserves_sector_and_frame(rng):
     np.testing.assert_array_equal(out.amplitudes, resent)
 
 
-def test_eve_dimension_mismatch(rng):
+def test_eve_dimension_mismatch():
     mub = build_mub_family(4, 2)
     with pytest.raises(DimensionMismatch):
-        fly(ChannelSpec((Eve(EveStrategy(mub=mub)),)), make_b1_state(8, 0).amplitudes, rng=rng)
+        fly(ChannelSpec((Eve(EveStrategy(mub=mub)),)), make_b1_state(8, 0).amplitudes)
 
 
 def test_eve_strategy_index_validation():
@@ -234,7 +235,7 @@ def test_eve_monte_carlo_qber_matches_oracle(rng):
     a = rng.integers(2, size=trials)
     k = rng.integers(d, size=trials)
     sent = np.stack([mub[b].matrix.T for b in range(2)])[a, k]
-    resent = fly(ChannelSpec((Eve(EveStrategy(mub=mub)),)), sent, rng=rng).amplitudes
+    resent = fly(ChannelSpec((Eve(EveStrategy(mub=mub)),)), sent).amplitudes
     # Bob measures in Alice's basis (sifted round)
     u = rng.random(trials)
     outcome = np.empty(trials, dtype=int)
@@ -250,51 +251,51 @@ def test_eve_monte_carlo_qber_matches_oracle(rng):
 # -------------------------------------------------------------- composition
 
 
-def test_channel_spec_applies_in_order(rng):
+def test_channel_spec_applies_in_order():
     spec = ChannelSpec((Rotation(0.3), Gouy(z=1.0, geom=GEOM)))
     st = make_b2_state(4, 1)
-    flight = fly(spec, st.amplitudes, rng=rng)
+    flight = fly(spec, st.amplitudes)
     assert flight.eve_basis[0] == -1
     expected = through(Gouy(1.0, GEOM), through(Rotation(0.3), st))
     np.testing.assert_allclose(flight.amplitudes[0], expected.amplitudes, atol=1e-15)
 
 
-def test_channel_loss_short_circuits(rng):
+def test_channel_loss_short_circuits():
     spec = ChannelSpec((Loss(1.0), Rotation(0.3)))
-    assert not fly(spec, make_b2_state(4, 1).amplitudes, rng=rng).delivered[0]
+    assert not fly(spec, make_b2_state(4, 1).amplitudes).delivered[0]
 
 
 def test_channel_random_rotation_consumes_one_draw():
     spec = ChannelSpec((RandomRotation(),))
-    st = make_b1_state(4, 0, oam_sector=1)
-    rng_a = np.random.default_rng(3)
-    rng_b = np.random.default_rng(3)
-    fly(spec, st.amplitudes, st.oam_sector, rng=rng_a)
-    rng_b.random()
-    assert rng_a.random() == rng_b.random()
+    streams, rows = Substreams(3, 0, 0, 1), np.arange(1)
+    draws = np.zeros((1, spec.width))
+    assert spec.sample(streams, rows, draws).tolist() == [0]
+    oracle = np.random.default_rng((3, 0, 0))
+    assert draws[0, 0] == oracle.random()
+    assert streams.random(rows)[0] == oracle.random()
 
 
-def test_channel_reports_eve_guess(rng):
+def test_channel_reports_eve_guess():
     mub = build_mub_family(4, 2)
     spec = ChannelSpec((Eve(EveStrategy(mub=mub, fixed_basis=0)),))
-    flight = fly(spec, make_b1_state(4, 2).amplitudes, rng=rng)
+    flight = fly(spec, make_b1_state(4, 2).amplitudes)
     assert (flight.eve_basis[0], flight.eve_outcome[0]) == (0, 2)
     assert spec.has_eve()
 
 
-def test_time_varying_uses_emission_time(rng):
+def test_time_varying_uses_emission_time():
     spec = ChannelSpec((TimeVaryingRotation(omega=2.0),))
     st = make_b1_state(4, 1, oam_sector=1)
-    flight = fly(spec, st.amplitudes, st.oam_sector, t=0.25, rng=rng)
+    flight = fly(spec, st.amplitudes, st.oam_sector, t=0.25)
     np.testing.assert_allclose(
         flight.amplitudes[0], st.amplitudes * np.exp(1j * 0.5), atol=1e-12
     )
 
 
-def test_frequency_shift_element(rng):
+def test_frequency_shift_element():
     spec = ChannelSpec((FrequencyShift(omega=math.pi),))
     st = make_b1_state(4, 1, oam_sector=2)
-    flight = fly(spec, st.amplitudes, st.oam_sector, t=1.0, rng=rng)
+    flight = fly(spec, st.amplitudes, st.oam_sector, t=1.0)
     np.testing.assert_allclose(flight.amplitudes[0], st.amplitudes, atol=1e-12)  # e^{2pi i}
 
 

@@ -207,6 +207,8 @@ def test_config_error_exit_code(capsys):
          "--emission-rate", "1e-310", "--transcript"],
         ["--photons", "1", "--dump-samples", "4", "--dump-mode", "LG,1,1", "--z", "0.1234567",
          "--dump-mode", "LG,1,1", "--z", "0.1234568"],
+        ["--photons", "100000000000000000000"],
+        ["--photons", str(10**400)],
     ],
 )
 def test_bad_config_writes_nothing(tmp_path, capsys, args):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from oamqkd.protocol import (
     sift,
 )
 from oamqkd.states import build_mub_family
+from oamqkd.streams import Substreams
 
 
 def noiseless_config(d=4, photons=20_000, seed=13, **kw):
@@ -256,15 +258,42 @@ def test_global_phase_elements_leave_transcripts_unchanged():
 
 
 def test_round_substreams_match_default_rng():
-    # the engine seeds round i from uint32 words; they must give the stream
-    # of the tuple (seed, 0, i), also where seed or i needs two words
+    # the engine computes the streams of a chunk of rounds as columns; they
+    # must be the streams of the tuples (seed, 0, i), also where seed or i
+    # needs two words
+    rows = np.arange(4)
     for seed in (0, 7, 2**32 + 5, 10**15):
         for start in (0, 2**32 - 2):
-            entropy = protocol._round_entropy(seed, start, start + 4)
-            for i, words in zip(range(start, start + 4), entropy):
+            streams = Substreams(seed, protocol.ROUND_STREAM, start, start + 4)
+            got = np.stack([streams.random(rows) for _ in range(3)], axis=1)
+            for i, row in zip(range(start, start + 4), got):
                 expected = np.random.default_rng((seed, 0, i)).random(3)
-                got = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words))).random(3)
-                assert got.tolist() == expected.tolist()
+                assert row.tolist() == expected.tolist()
+
+
+def test_chunk_and_slice_bounds_do_not_change_the_session():
+    mub = build_mub_family(4, 2)
+    channel = ChannelSpec((Loss(0.3), RandomRotation(), Eve(EveStrategy(mub)), Loss(0.1)))
+    cfg = SessionConfig(d=4, photons=300, seed=2**33 + 1, oam_sector=1, channel=channel)
+    stats, records = run_session(cfg)
+    # chunks of 37 rounds, each played in slices of 5
+    with mock.patch.multiple(protocol, CHUNK_ROUNDS=37, CHUNK_AMPLITUDES=5 * cfg.d):
+        small_stats, small = run_session(cfg)
+    assert small == records
+    assert stats_without_wall_clock(small_stats) == stats_without_wall_clock(stats)
+
+
+def test_photon_count_bounded_by_distinct_emission_times():
+    SessionConfig(d=2, photons=2**53, seed=0)  # validated, not run
+    for photons in (2**53 + 1, 10**20, 10**400):
+        with pytest.raises(ConfigInvalid, match="photons"):
+            SessionConfig(d=2, photons=photons, seed=0)
+
+
+def test_eve_dimension_checked_by_the_config():
+    eve = Eve(EveStrategy(build_mub_family(8, 2)))
+    with pytest.raises(ConfigInvalid, match="eavesdropper basis dimension 8"):
+        SessionConfig(d=4, photons=10, seed=0, channel=ChannelSpec((eve,)))
 
 
 def test_random_rotation_keeps_l0_error_free():
